@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataio, synthgen, train as training
+from . import dataio, metrics, synthgen, train as training
 from .config import RunConfig, default_run_config, load_run_config
 from .errors import DivergenceError, NoActivityError, PipelineError
 from .model import (
@@ -48,11 +48,7 @@ def _load_config(path_arg) -> RunConfig:
 
 
 def _recording_paths(data_dir: Path) -> list[Path]:
-    return sorted(
-        p
-        for p in data_dir.glob("*.csv")
-        if not p.name.endswith("_truth.csv") and not p.name.endswith(".meta.json")
-    )
+    return sorted(p for p in data_dir.glob("*.csv") if not p.name.endswith("_truth.csv"))
 
 
 def _load_segments(data_dir: Path, cfg: RunConfig, motion: str | None):
@@ -126,7 +122,7 @@ def cmd_synth_data(args) -> int:
             return EXIT_USAGE
         with open(out_dir / f"{stem}_truth.csv", "w") as fh:
             fh.write("gt_envelope\n")
-            fh.writelines(f"{v:.17g}\n" for v in truth)
+            fh.writelines("%.17g\n" % v for v in truth.tolist())
         print(f"wrote {stem}.csv ({len(rec)} samples, {args.reps} reps)")
     return EXIT_OK
 
@@ -183,7 +179,10 @@ def cmd_eval(args) -> int:
         return EXIT_USAGE
 
     pairs = training.predictions(weights, segments)
-    report = training.evaluate(weights, segments, include_dc=not args.no_dc)
+    report = metrics.report_from_pairs(
+        [(seg.segment_id, pred, seg.target) for seg, pred in pairs],
+        include_dc=not args.no_dc,
+    )
 
     report_path = Path(args.report)
     report_path.parent.mkdir(parents=True, exist_ok=True)
@@ -206,8 +205,8 @@ def cmd_eval(args) -> int:
     for seg, pred in pairs:
         with open(pred_dir / f"{seg.segment_id}.csv", "w") as fh:
             fh.write("t,true,predicted\n")
-            for i in range(len(seg)):
-                fh.write(f"{seg.bounds.start + i},{seg.target[i]:.17g},{pred[i]:.17g}\n")
+            rows = zip(range(seg.bounds.start, seg.bounds.end), seg.target.tolist(), pred.tolist())
+            fh.writelines("%d,%.17g,%.17g\n" % r for r in rows)
 
     if args.plots:
         plots_dir = Path(args.plots)

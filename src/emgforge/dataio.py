@@ -10,6 +10,8 @@ with a JSON metadata sidecar.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -88,8 +90,52 @@ class RawRecording:
         return np.stack([getattr(self, ch).samples for ch in IMU_CHANNELS])
 
 
-def _read_columns(path, wanted: dict) -> dict:
-    """Parse the requested columns; rows with non-finite values are dropped."""
+# Data rows parsed or formatted per block: the row text held at once stays
+# bounded.
+_CSV_BLOCK = 1024
+# Rows are formatted with "%.17g" % v, the same text as f"{v:.17g}", and end
+# with csv.writer's default line terminator, so the bytes match csv.writer's.
+_CSV_EOL = "\r\n"
+
+
+def _csv_field(text: str) -> str:
+    """`text` as csv.writer writes it in a row of several fields."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue()[: -len("," + _CSV_EOL)]
+
+
+def _cell(row: list, idx: int) -> float:
+    """float(row[idx]), or nan where the row is short or the value unparseable."""
+    try:
+        return float(row[idx])
+    except (IndexError, ValueError):
+        return math.nan
+
+
+def _parse_block(rows: list, indices: dict) -> dict:
+    """The wanted columns of `rows` as float64; nan marks a short row or an
+    unparseable value."""
+    try:
+        return {
+            ch: np.array([row[idx] for row in rows], dtype=np.float64)
+            for ch, idx in indices.items()
+        }
+    except (IndexError, ValueError):
+        return {
+            ch: np.array([_cell(row, idx) for row in rows], dtype=np.float64)
+            for ch, idx in indices.items()
+        }
+
+
+def _read_columns(path, wanted: dict) -> tuple[dict, list[tuple[int, int]]]:
+    """Parse the requested columns, dropping each row in which one of them is
+    missing, unparseable or non-finite.
+
+    Returns the columns and the dropped rows as (data row, line) pairs: data
+    rows count from 0 after the header, skipping comment and blank lines;
+    lines count from 1.
+    """
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -117,34 +163,40 @@ def _read_columns(path, wanted: dict) -> dict:
                     )
                 indices[channel] = header.index(column)
 
-        values: dict = {ch: [] for ch in wanted}
-        for row in reader:
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            parsed = {}
-            ok = True
-            for ch, idx in indices.items():
-                if idx >= len(row):
-                    ok = False
-                    break
-                try:
-                    v = float(row[idx])
-                except ValueError:
-                    ok = False
-                    break
-                if not math.isfinite(v):
-                    ok = False
-                    break
-                parsed[ch] = v
-            if not ok:
-                continue
-            for ch, v in parsed.items():
-                values[ch].append(v)
+        data_rows = (
+            (row, reader.line_num)
+            for row in reader
+            if row and not row[0].lstrip().startswith("#")
+        )
+        parts: dict = {ch: [] for ch in wanted}
+        dropped = []
+        first = 0
+        while block := list(itertools.islice(data_rows, _CSV_BLOCK)):
+            columns = _parse_block([row for row, _ in block], indices)
+            keep = np.logical_and.reduce([np.isfinite(v) for v in columns.values()])
+            for ch, v in columns.items():
+                parts[ch].append(v[keep])
+            dropped += [(first + int(i), block[i][1]) for i in np.flatnonzero(~keep)]
+            first += len(block)
 
-    n = len(next(iter(values.values())))
-    if n == 0:
+    if first == len(dropped):
         raise EmptyFileError(f"{path} contains no valid data rows")
-    return {ch: np.asarray(v, dtype=np.float64) for ch, v in values.items()}
+    return {ch: np.concatenate(v) for ch, v in parts.items()}, dropped
+
+
+def _require_same_drops(emg_path, emg_dropped, imu_path, imu_dropped) -> None:
+    """Two-file mode: a row dropped from one file only would shift every later
+    sample of that file against the other, so it is an error."""
+    emg_rows, imu_rows = dict(emg_dropped), dict(imu_dropped)
+    lone = emg_rows.keys() ^ imu_rows.keys()
+    if lone:
+        row = min(lone)
+        path, line = (emg_path, emg_rows[row]) if row in emg_rows else (imu_path, imu_rows[row])
+        raise SchemaError(
+            f"{path}: data row {row} (line {line}) has a missing, unparseable or "
+            "non-finite value but is kept in the other file; dropping it would "
+            "shift the EMG against the IMU"
+        )
 
 
 def _sidecar_path(path: Path) -> Path:
@@ -163,7 +215,9 @@ def load_recording(
     `schema` maps canonical channel names (see CHANNELS) to column names or
     zero-based positions. Channels are truncated to the shortest length so
     slightly ragged acquisitions still align; no resampling is performed, so
-    all channels must already share `fs`.
+    all channels must already share `fs`. A row with a missing, unparseable or
+    non-finite value is dropped; in two-file mode it must then be dropped from
+    both files, or a SchemaError names it.
     """
     path = Path(path)
     schema = dict(DEFAULT_SCHEMA if schema is None else schema)
@@ -175,12 +229,14 @@ def load_recording(
         raise SchemaError(f"schema missing channels: {sorted(missing)}")
 
     if imu_path is None:
-        columns = _read_columns(path, schema)
+        columns, _ = _read_columns(path, schema)
     else:
-        columns = _read_columns(path, {"emg": schema["emg"]})
-        columns.update(
-            _read_columns(imu_path, {ch: schema[ch] for ch in IMU_CHANNELS})
+        columns, emg_dropped = _read_columns(path, {"emg": schema["emg"]})
+        imu_columns, imu_dropped = _read_columns(
+            imu_path, {ch: schema[ch] for ch in IMU_CHANNELS}
         )
+        _require_same_drops(path, emg_dropped, imu_path, imu_dropped)
+        columns.update(imu_columns)
 
     shortest = min(len(v) for v in columns.values())
     columns = {ch: v[:shortest] for ch, v in columns.items()}
@@ -207,11 +263,11 @@ def write_raw_recording(rec: RawRecording, path) -> None:
     """Write the 7-column raw CSV plus the metadata sidecar."""
     path = Path(path)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([DEFAULT_SCHEMA[ch] for ch in CHANNELS])
-        arrays = [getattr(rec, ch).samples for ch in CHANNELS]
-        for i in range(len(rec)):
-            writer.writerow([f"{a[i]:.17g}" for a in arrays])
+        csv.writer(fh).writerow([DEFAULT_SCHEMA[ch] for ch in CHANNELS])
+        row = ",".join(["%.17g"] * len(CHANNELS)) + _CSV_EOL
+        for lo in range(0, len(rec), _CSV_BLOCK):
+            columns = [getattr(rec, ch).samples[lo : lo + _CSV_BLOCK].tolist() for ch in CHANNELS]
+            fh.writelines(row % r for r in zip(*columns))
     sidecar = _sidecar_path(path)
     sidecar.write_text(
         json.dumps(
@@ -428,15 +484,19 @@ def write_segments(segments: list[MergedSegment], path) -> None:
     if not segments:
         raise EmptyInputError("no segments to write")
     path = Path(path)
+    row = ",%d" + ",%.17g" * 7 + _CSV_EOL
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SEGMENT_HEADER)
+        csv.writer(fh).writerow(_SEGMENT_HEADER)
         for seg in segments:
-            for i in range(len(seg)):
-                writer.writerow(
-                    [seg.segment_id, seg.bounds.start + i, f"{seg.target[i]:.17g}"]
-                    + [f"{seg.imu[c, i]:.17g}" for c in range(6)]
-                )
+            head = _csv_field(seg.segment_id)
+            for lo in range(0, len(seg), _CSV_BLOCK):
+                hi = lo + _CSV_BLOCK
+                columns = [
+                    range(seg.bounds.start + lo, seg.bounds.end),
+                    seg.target[lo:hi].tolist(),
+                    *seg.imu[:, lo:hi].tolist(),
+                ]
+                fh.writelines(head + row % r for r in zip(*columns))
     sidecar = _sidecar_path(path)
     sidecar.write_text(
         json.dumps(
@@ -471,29 +531,33 @@ def read_segments(path) -> list[MergedSegment]:
     info = json.loads(sidecar.read_text())
     fs = float(info["fs"])
 
-    rows: dict[str, list[list[float]]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if tuple(header) != _SEGMENT_HEADER:
             raise SchemaError(f"unexpected segment CSV header: {header}")
-        for row in reader:
-            rows.setdefault(row[0], []).append([float(v) for v in row[2:]])
+        rows = list(reader)
+    width = len(_SEGMENT_HEADER)
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise SchemaError(f"{path}: data row {i} has {len(row)} fields, expected {width}")
+    ids = np.array([row[0] for row in rows])
+    values = np.array([[row[j] for row in rows] for j in range(2, width)], dtype=np.float64)
 
     segments = []
     for entry in info["segments"]:
         seg_id = entry["segment_id"]
-        if seg_id not in rows:
+        data = values[:, ids == seg_id]
+        if data.shape[1] == 0:
             raise SchemaError(f"segment {seg_id!r} listed in sidecar but absent from CSV")
-        data = np.asarray(rows[seg_id], dtype=np.float64)
         bounds = dsp.SegmentBounds(int(entry["start"]), int(entry["end"]), int(entry["peak"]))
-        if data.shape[0] != len(bounds):
+        if data.shape[1] != len(bounds):
             raise SchemaError(f"segment {seg_id!r} row count does not match its bounds")
         segments.append(
             MergedSegment(
                 bounds=bounds,
-                target=data[:, 0],
-                imu=data[:, 1:].T,
+                target=data[0],
+                imu=data[1:],
                 meta=SegmentMeta(
                     subject=entry["subject"],
                     motion=entry["motion"],

@@ -10,6 +10,7 @@ include_dc=False to drop it).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,26 +33,32 @@ class Spectrum:
 
 
 def _bit_reverse_indices(n: int) -> np.ndarray:
+    """Bit-reversal permutation of range(n), one array operation per bit."""
     bits = n.bit_length() - 1
+    idx = np.arange(n, dtype=np.intp)
     rev = np.zeros(n, dtype=np.intp)
-    for i in range(1, n):
-        rev[i] = (rev[i >> 1] >> 1) | ((i & 1) << (bits - 1))
+    for b in range(bits):
+        rev |= ((idx >> b) & 1) << (bits - 1 - b)
     return rev
 
 
 def _fft_pow2(x: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 DIT FFT; len(x) must be a power of two."""
+    """Iterative radix-2 DIT FFT; len(x) must be a power of two.
+
+    Each stage runs all its butterflies at once on an [n/m x m] view, so
+    every element sees the same operations as a block-by-block loop.
+    """
     n = x.size
     out = np.asarray(x, dtype=np.complex128)[_bit_reverse_indices(n)]
     m = 2
     while m <= n:
         half = m // 2
         tw = np.exp(-2j * np.pi * np.arange(half) / m)
-        for start in range(0, n, m):
-            top = out[start : start + half].copy()
-            bot = out[start + half : start + m] * tw
-            out[start : start + half] = top + bot
-            out[start + half : start + m] = top - bot
+        blocks = out.reshape(n // m, m)
+        top = blocks[:, :half].copy()
+        bot = blocks[:, half:] * tw
+        np.add(top, bot, out=blocks[:, :half])
+        np.subtract(top, bot, out=blocks[:, half:])
         m <<= 1
     return out
 
@@ -93,16 +100,28 @@ def mae(a, b) -> float:
     return float(np.mean(np.abs(a - b)))
 
 
+def _unit_scaled(v: np.ndarray) -> np.ndarray:
+    """`v` times the power of two that brings max|v| into [0.5, 1).
+
+    Scaling by a power of two is exact, so the cosine is unchanged except
+    where the squares would otherwise underflow or overflow.
+    """
+    peak = float(np.max(np.abs(v), initial=0.0))
+    if peak == 0.0:
+        raise DegenerateInputError("cosine similarity undefined for zero-norm input")
+    return np.ldexp(v, -math.frexp(peak)[1])
+
+
 def cosine_sim(a, b) -> float:
     """Cosine similarity <a,b> / (|a||b|), in [-1, 1]."""
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
     if a.shape != b.shape:
         raise ShapeError(f"length mismatch: {a.shape} vs {b.shape}")
+    a = _unit_scaled(a)
+    b = _unit_scaled(b)
     na = float(np.linalg.norm(a))
     nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise DegenerateInputError("cosine similarity undefined for zero-norm input")
     return float(np.dot(a, b) / (na * nb))
 
 

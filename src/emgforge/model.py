@@ -21,6 +21,7 @@ from .errors import CheckpointError, ConfigError, ShapeError, StreamStateError
 from .tensor import (
     ConvKernel,
     Tensor,
+    _sigmoid,
     as_tensor,
     add,
     conv1d_causal,
@@ -279,7 +280,7 @@ def forward_streaming(weights: ModelWeights, state: StreamState, sample) -> floa
         buf.push(z)
         if cfg.activation == "gated":
             half = pre.shape[0] // 2
-            g = np.tanh(pre[:half]) * _stable_sigmoid(pre[half:])
+            g = np.tanh(pre[:half]) * _sigmoid(pre[half:])
         else:
             g = np.maximum(pre, 0.0)
         s = blk.skip.weights[:, :, 0] @ g + blk.skip.bias
@@ -296,15 +297,6 @@ def forward_streaming(weights: ModelWeights, state: StreamState, sample) -> floa
 
     y = weights.output_proj.weights[:, :, 0] @ pre + weights.output_proj.bias
     return float(y[0])
-
-
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,7 @@ class BiquadCascade:
 
 FILTER_KINDS = ("lowpass", "highpass", "bandpass", "bandstop")
 
-# Stability margin asserted on every designed section (unit-circle distance).
+# Stability margin required of every designed section (unit-circle distance).
 STABILITY_MARGIN = 1e-9
 
 
@@ -226,7 +226,8 @@ def design_butterworth(kind: str, order: int, cutoffs, fs: float) -> BiquadCasca
     cascade = BiquadCascade(tuple(sections))
 
     for sec in cascade.sections:
-        assert sec.is_stable(STABILITY_MARGIN), f"unstable section designed: {sec}"
+        if not sec.is_stable(STABILITY_MARGIN):
+            raise ConfigError(f"unstable section designed: {sec}")
     return cascade
 
 
@@ -241,18 +242,26 @@ def frequency_response(cascade: BiquadCascade, freqs_hz, fs: float) -> np.ndarra
     return h
 
 
+# Samples per block of the per-sample recurrence: each block is converted to a
+# list once, so the loop runs on Python floats (same IEEE-754 operations as
+# on numpy scalars, about 3x faster) while the extra memory stays bounded.
+_DF2T_BLOCK = 4096
+
+
 def _run_df2t(x: np.ndarray, sec: BiquadSection) -> np.ndarray:
     """Direct Form II transposed, zero initial state."""
-    b0, b1, b2, a1, a2 = sec.b0, sec.b1, sec.b2, sec.a1, sec.a2
+    b0, b1, b2, a1, a2 = (float(c) for c in (sec.b0, sec.b1, sec.b2, sec.a1, sec.a2))
     y = np.empty_like(x)
     s1 = 0.0
     s2 = 0.0
-    for n in range(x.size):
-        xn = x[n]
-        yn = b0 * xn + s1
-        s1 = b1 * xn - a1 * yn + s2
-        s2 = b2 * xn - a2 * yn
-        y[n] = yn
+    for lo in range(0, x.size, _DF2T_BLOCK):
+        block = []
+        for xn in x[lo : lo + _DF2T_BLOCK].tolist():
+            yn = b0 * xn + s1
+            s1 = b1 * xn - a1 * yn + s2
+            s2 = b2 * xn - a2 * yn
+            block.append(yn)
+        y[lo : lo + len(block)] = block
     return y
 
 

@@ -216,11 +216,7 @@ def evaluate(
     """
     if not segments:
         raise InsufficientDataError("no segments to evaluate")
-    pairs = []
-    with no_grad():
-        for seg in segments:
-            pred = forward(weights, Tensor(seg.imu)).data[0]
-            pairs.append((seg.segment_id, pred, seg.target))
+    pairs = [(seg.segment_id, pred, seg.target) for seg, pred in predictions(weights, segments)]
     return metrics.report_from_pairs(pairs, include_dc=include_dc)
 
 

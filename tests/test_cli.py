@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from emgforge import cli
+from emgforge import train as training
 from emgforge.config import load_run_config
 from emgforge.errors import ConfigError
 from emgforge.model import load_weights
@@ -233,6 +234,32 @@ class TestTrainEvalBench:
         assert len(preds) == 14
         first = preds[0].read_text().splitlines()
         assert first[0] == "t,true,predicted"
+
+    def test_eval_runs_forward_once_per_segment(self, data_dir, run_dir, tmp_path, monkeypatch):
+        calls = []
+        forward = training.forward
+
+        def counting_forward(*args, **kwargs):
+            calls.append(1)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(training, "forward", counting_forward)
+        report = tmp_path / "report.csv"
+        rc = cli.main(
+            [
+                "eval",
+                "--data",
+                str(data_dir),
+                "--ckpt",
+                str(run_dir / "model.ckpt"),
+                "--report",
+                str(report),
+            ]
+        )
+        assert rc == 0
+        segments = json.loads(report.with_suffix(".meta.json").read_text())["segments"]
+        assert segments == 14
+        assert len(calls) == segments
 
     def test_eval_config_mismatch_exit(self, data_dir, run_dir, tmp_path):
         other = tmp_path / "other.ini"

@@ -1,3 +1,7 @@
+import csv
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,6 +105,138 @@ class TestLoadRecording:
         rec = dataio.load_recording(path)
         assert rec.meta == dataio.RecordingMeta("s07", "pronation", 3)
         assert rec.fs == 2000.0
+
+
+    def test_separate_files_reject_a_row_dropped_from_one(self, tmp_path):
+        emg_path = tmp_path / "emg.csv"
+        imu_path = tmp_path / "imu.csv"
+        write_csv(emg_path, ["emg"], [[v] for v in [0, 1, 2, "nan", 4, 5, 6]])
+        write_csv(imu_path, ["ax", "ay", "az", "gx", "gy", "gz"], [[t] * 6 for t in range(7)])
+        with pytest.raises(SchemaError, match=r"emg\.csv: data row 3 \(line 5\)"):
+            dataio.load_recording(emg_path, imu_path=imu_path)
+
+    def test_separate_files_drop_a_row_dropped_from_both(self, tmp_path):
+        emg_path = tmp_path / "emg.csv"
+        imu_path = tmp_path / "imu.csv"
+        write_csv(emg_path, ["emg"], [[v] for v in [0, 1, 2, "nan", 4, 5, 6]])
+        imu_rows = [[t] * 6 for t in range(7)]
+        imu_rows[3][4] = "inf"
+        write_csv(imu_path, ["ax", "ay", "az", "gx", "gy", "gz"], imu_rows)
+        rec = dataio.load_recording(emg_path, imu_path=imu_path)
+        assert rec.emg.samples.tolist() == [0, 1, 2, 4, 5, 6]
+        assert rec.accel_x.samples.tolist() == [0, 1, 2, 4, 5, 6]
+
+
+def reference_read_columns(path, wanted):
+    """Row by row: a data row is kept when every wanted value parses with
+    float() and is finite. Returns the columns and (data row, line) drops."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if row and not row[0].lstrip().startswith("#"):
+                header = [c.strip() for c in row]
+                break
+        indices = {ch: header.index(col) for ch, col in wanted.items()}
+        values = {ch: [] for ch in wanted}
+        dropped = []
+        n = 0
+        for row in reader:
+            if not row or row[0].lstrip().startswith("#"):
+                continue
+            try:
+                parsed = {ch: float(row[i]) for ch, i in indices.items()}
+            except (IndexError, ValueError):
+                parsed = None
+            if parsed is None or not all(math.isfinite(v) for v in parsed.values()):
+                dropped.append((n, reader.line_num))
+            else:
+                for ch, v in parsed.items():
+                    values[ch].append(v)
+            n += 1
+    return values, dropped
+
+
+_HEADER = ["emg", "ax", "ay", "az", "gx", "gy", "gz"]
+_cell_text = st.one_of(
+    st.floats(width=64).map(repr),
+    st.floats(width=64).map(lambda v: f"{v:.17g}"),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(
+        ["nan", "-inf", "inf", "", " ", " 1.5 ", "1e400", "abc", "1_0", '"2.5"', '"1,5"', '" 7"']
+    ),
+    st.text(
+        st.characters(blacklist_characters=',"\r\n', blacklist_categories=("Cs",)),
+        max_size=4,
+    ),
+)
+_csv_line = st.one_of(
+    st.lists(_cell_text, min_size=7, max_size=7).map(",".join),
+    st.lists(_cell_text, min_size=0, max_size=9).map(",".join),
+    st.sampled_from(["", "# comment", "  # indented comment", "#,1,2,3,4,5,6"]),
+)
+
+
+class TestColumnarCsv:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lines=st.lists(_csv_line, max_size=40),
+        wanted=st.sampled_from(
+            [dict(zip(dataio.CHANNELS, _HEADER)), {"emg": "emg"}, {"accel_x": "ax", "gyro_z": "gz"}]
+        ),
+        block=st.sampled_from([1, 3, 4096]),
+    )
+    def test_matches_row_by_row_reference(self, tmp_path_factory, lines, wanted, block):
+        path = tmp_path_factory.getbasetemp() / "fuzzed.csv"
+        path.write_text("\n".join([",".join(_HEADER), *lines]) + "\n", encoding="utf-8")
+        values, dropped = reference_read_columns(path, wanted)
+        with mock.patch.object(dataio, "_CSV_BLOCK", block):
+            if not values["emg" if "emg" in wanted else "accel_x"]:
+                with pytest.raises(EmptyFileError):
+                    dataio._read_columns(path, wanted)
+                return
+            columns, got_dropped = dataio._read_columns(path, wanted)
+        assert got_dropped == dropped
+        for ch, v in values.items():
+            assert columns[ch].dtype == np.float64
+            assert columns[ch].tobytes() == np.array(v, dtype=np.float64).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.floats(width=64),
+            st.integers(0, 2**64 - 1).map(lambda u: float(np.uint64(u).view(np.float64))),
+        )
+    )
+    def test_percent_format_matches_format_spec(self, v):
+        assert "%.17g" % v == f"{v:.17g}"
+
+    def test_segment_bytes_match_csv_writer(self, tmp_path):
+        """Columnar writing gives the bytes of a row-by-row csv.writer."""
+        n = 9
+        rng = np.random.default_rng(3)
+        target = rng.random(n)
+        target[:5] = [0.0, -0.0, 5e-324, 1e-310, 1.0]
+        imu = rng.standard_normal((6, n)) * 1e6
+        imu[2, 3] = np.nan
+        imu[4, 1] = -np.inf
+        seg = dataio.MergedSegment(
+            bounds=dsp.SegmentBounds(40, 40 + n, 44),
+            target=target,
+            imu=imu,
+            meta=dataio.SegmentMeta('s,"1"', "pronation", 2, 0, FS),
+        )
+        path = tmp_path / "seg.csv"
+        dataio.write_segments([seg], path)
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(dataio._SEGMENT_HEADER)
+            for i in range(n):
+                writer.writerow(
+                    [seg.segment_id, 40 + i, f"{target[i]:.17g}"]
+                    + [f"{imu[c, i]:.17g}" for c in range(6)]
+                )
+        assert path.read_bytes() == expected.read_bytes()
 
 
 class TestBuildSegments:

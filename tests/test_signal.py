@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,6 +74,34 @@ class TestDesign:
     def test_reversed_band_edges_rejected(self):
         with pytest.raises(InvalidCutoffError):
             dsp.design_butterworth("bandpass", 4, (300.0, 20.0), FS)
+
+    def test_unstable_section_raises_config_error(self, monkeypatch):
+        # A margin of 1 leaves no pole radius inside the stable region.
+        monkeypatch.setattr(dsp, "STABILITY_MARGIN", 1.0)
+        with pytest.raises(ConfigError, match="unstable section"):
+            dsp.design_butterworth("lowpass", 4, 6.0, FS)
+
+    def test_stability_check_kept_under_optimize_flag(self):
+        # `python -O` strips assert statements; the check must not be one.
+        script = (
+            "from emgforge import signal as dsp\n"
+            "from emgforge.errors import ConfigError\n"
+            "dsp.STABILITY_MARGIN = 1.0\n"
+            "try:\n"
+            "    dsp.design_butterworth('lowpass', 4, 6.0, 1000.0)\n"
+            "except ConfigError:\n"
+            "    print('raised')\n"
+        )
+        src = str(Path(dsp.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "raised"
 
     @pytest.mark.parametrize(
         "kind,cut",
@@ -209,6 +241,22 @@ class TestApplyFilter:
         )
         scale = max(np.max(np.abs(rhs)), 1.0)
         assert np.max(np.abs(lhs - rhs)) <= 1e-9 * scale
+
+    def test_bit_identical_to_numpy_scalar_loop(self):
+        # The recurrence runs on Python floats in blocks; the arithmetic is
+        # the same IEEE-754 operations as a loop over numpy scalars.
+        c = dsp.design_butterworth("bandpass", 4, (20, 300), FS)
+        block = dsp._DF2T_BLOCK
+        x = np.random.default_rng(4).standard_normal(2 * block + 3)
+        for sec in c.sections:
+            y = np.empty_like(x)
+            s1 = s2 = 0.0
+            for n in range(x.size):
+                y[n] = sec.b0 * x[n] + s1
+                s1 = sec.b1 * x[n] - sec.a1 * y[n] + s2
+                s2 = sec.b2 * x[n] - sec.a2 * y[n]
+            assert dsp._run_df2t(x, sec).tobytes() == y.tobytes()
+            x = y
 
     def test_impulse_response_decays(self):
         c = dsp.design_butterworth("highpass", 4, 70.0, FS)
