@@ -250,7 +250,7 @@ def cmd_stream_bench(args) -> int:
     print(f"samples: {n_samples}")
     print(f"latency ms: p50={p50:.4f} p90={p90:.4f} p99={p99:.4f}")
     print(f"max |streaming - batch| = {deviation:.3e}")
-    # `not (<=)` so a NaN deviation (corrupt weights) also counts as a breach
+    # `not (<=)` so a NaN deviation (weights that overflow) also counts as a breach
     if not deviation <= STREAM_TOLERANCE:
         print(
             f"error: streaming/batch deviation {deviation:.3e} exceeds {STREAM_TOLERANCE}",

@@ -32,6 +32,8 @@ from .errors import (
     TooShortError,
 )
 
+DEFAULT_FS = 1000.0
+
 CHANNELS = ("emg", "accel_x", "accel_y", "accel_z", "gyro_x", "gyro_y", "gyro_z")
 IMU_CHANNELS = CHANNELS[1:]
 
@@ -207,7 +209,7 @@ def load_recording(
     path,
     schema: dict | None = None,
     imu_path=None,
-    fs: float = 1000.0,
+    fs: float | None = None,
     meta: RecordingMeta | None = None,
 ) -> RawRecording:
     """Load a recording from one CSV, or EMG and IMU from two files.
@@ -218,6 +220,9 @@ def load_recording(
     all channels must already share `fs`. A row with a missing, unparseable or
     non-finite value is dropped; in two-file mode it must then be dropped from
     both files, or a SchemaError names it.
+
+    The sample rate is the caller's `fs`, else the sidecar's, else 1000 Hz;
+    a sidecar `fs` that disagrees with the caller's raises a SchemaError.
     """
     path = Path(path)
     schema = dict(DEFAULT_SCHEMA if schema is None else schema)
@@ -250,9 +255,18 @@ def load_recording(
                 motion=raw.get("motion", "unknown"),
                 day=int(raw.get("day", 0)),
             )
-            fs = float(raw.get("fs", fs))
+            if "fs" in raw:
+                sidecar_fs = float(raw["fs"])
+                if fs is not None and float(fs) != sidecar_fs:
+                    raise SchemaError(
+                        f"{sidecar}: sidecar fs={sidecar_fs:g} disagrees with the "
+                        f"configured fs={fs:g}"
+                    )
+                fs = sidecar_fs
         else:
             meta = RecordingMeta()
+    if fs is None:
+        fs = DEFAULT_FS
 
     return RawRecording(
         **{ch: dsp.SampledSignal(columns[ch], fs) for ch in CHANNELS}, meta=meta

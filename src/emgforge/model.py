@@ -4,7 +4,7 @@ Architecture: 1x1 input projection, a stack of dilated causal blocks with
 gated activations and residual + skip paths, a skip sum feeding a causal
 sliding-window convolution for context aggregation, and a linear 1x1 output
 head (no final nonlinearity, so amplitude is unbounded). Dilation doubles
-per block. A streaming forward pass with per-layer ring buffers reproduces
+per block. A streaming forward pass with per-layer input histories reproduces
 the batch output sample by sample.
 """
 
@@ -205,48 +205,61 @@ def forward(weights: ModelWeights, x) -> Tensor:
     return forward_parts(weights, x)[2]
 
 
-class _RingBuffer:
-    """Fixed-size history of channel vectors; reads lag samples into the past.
+class _History:
+    """The last `span` input vectors of one conv layer, oldest first.
 
-    Unwritten history reads as zero, matching the batch pass's left padding.
+    A [channels x 2*span] line buffer: each vector is written twice, `span`
+    columns apart, so the newest `span` vectors are always one contiguous
+    view. Unwritten history reads as zero, matching the batch pass's left
+    padding.
     """
 
-    __slots__ = ("buf", "pos")
+    __slots__ = ("buf", "pos", "span")
 
-    def __init__(self, channels: int, capacity: int):
-        self.buf = np.zeros((max(capacity, 1), channels)) if capacity > 0 else None
+    def __init__(self, channels: int, span: int):
+        self.buf = np.zeros((channels, 2 * span))
         self.pos = 0
+        self.span = span
 
-    def push(self, v: np.ndarray) -> None:
-        if self.buf is None:
-            return
-        self.buf[self.pos] = v
-        self.pos = (self.pos + 1) % self.buf.shape[0]
-
-    def read(self, lag: int) -> np.ndarray:
-        return self.buf[(self.pos - lag) % self.buf.shape[0]]
+    def push(self, v: np.ndarray) -> np.ndarray:
+        """Append `v` and return the last `span` inputs, `v` in the last column."""
+        pos, span = self.pos, self.span
+        self.buf[:, pos] = v
+        self.buf[:, pos + span] = v
+        self.pos = pos = (pos + 1) % span
+        return self.buf[:, pos : pos + span]
 
     def reset(self) -> None:
-        if self.buf is not None:
-            self.buf[:] = 0.0
+        self.buf[:] = 0.0
         self.pos = 0
 
 
 class StreamState:
-    """Per-layer ring buffers for sample-by-sample inference."""
+    """Per-layer input histories for sample-by-sample inference."""
 
     def __init__(self, config: ModelConfig):
         self.config = config
         k = config.kernel_size
-        self.block_buffers = [
-            _RingBuffer(config.residual_channels, (k - 1) * d) for d in config.dilations()
+        self.block_histories = [
+            _History(config.residual_channels, (k - 1) * d + 1) for d in config.dilations()
         ]
-        self.context_buffer = _RingBuffer(config.skip_channels, config.context_window - 1)
+        self.context_history = _History(config.skip_channels, config.context_window)
 
     def reset(self) -> None:
-        for buf in self.block_buffers:
-            buf.reset()
-        self.context_buffer.reset()
+        for hist in self.block_histories:
+            hist.reset()
+        self.context_history.reset()
+
+
+def _conv_step(kernel: ConvKernel, history: _History | None, v: np.ndarray) -> np.ndarray:
+    """One output column of conv1d_causal: the layer's taps, then one matvec.
+
+    `history` holds the layer's past inputs; None for a 1x1 conv. Tap j of
+    input channel i lands at i*k + j, the order of the flattened weights.
+    """
+    taps = v if history is None else history.push(v)[:, :: kernel.dilation].ravel()
+    w = kernel.weights
+    return w.reshape(w.shape[0], -1) @ taps + kernel.bias
 
 
 def forward_streaming(weights: ModelWeights, state: StreamState, sample) -> float:
@@ -264,39 +277,21 @@ def forward_streaming(weights: ModelWeights, state: StreamState, sample) -> floa
     if v.shape != (cfg.in_channels,):
         raise ShapeError(f"expected a {cfg.in_channels}-vector sample, got shape {v.shape}")
 
-    v = (v - weights.input_offset) * weights.input_scale
-    z = weights.input_proj.weights[:, :, 0] @ v + weights.input_proj.bias
-
-    k = cfg.kernel_size
+    z = _conv_step(weights.input_proj, None, (v - weights.input_offset) * weights.input_scale)
     skip_sum = None
-    for blk, buf in zip(weights.blocks, state.block_buffers):
-        d = blk.dilated.dilation
-        pre = blk.dilated.bias.copy()
-        w = blk.dilated.weights
-        for j in range(k):
-            lag = (k - 1 - j) * d
-            xj = z if lag == 0 else buf.read(lag)
-            pre += w[:, :, j] @ xj
-        buf.push(z)
+    for blk, hist in zip(weights.blocks, state.block_histories):
+        pre = _conv_step(blk.dilated, hist, z)
         if cfg.activation == "gated":
             half = pre.shape[0] // 2
             g = np.tanh(pre[:half]) * _sigmoid(pre[half:])
         else:
             g = np.maximum(pre, 0.0)
-        s = blk.skip.weights[:, :, 0] @ g + blk.skip.bias
+        s = _conv_step(blk.skip, None, g)
         skip_sum = s if skip_sum is None else skip_sum + s
-        z = z + blk.residual.weights[:, :, 0] @ g + blk.residual.bias
+        z = z + _conv_step(blk.residual, None, g)
 
-    w_ctx = cfg.context_window
-    pre = weights.context.bias.copy()
-    for j in range(w_ctx):
-        lag = w_ctx - 1 - j
-        xj = skip_sum if lag == 0 else state.context_buffer.read(lag)
-        pre += weights.context.weights[:, :, j] @ xj
-    state.context_buffer.push(skip_sum)
-
-    y = weights.output_proj.weights[:, :, 0] @ pre + weights.output_proj.bias
-    return float(y[0])
+    context = _conv_step(weights.context, state.context_history, skip_sum)
+    return float(_conv_step(weights.output_proj, None, context)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +365,11 @@ def _parse_header(header: str) -> tuple[ModelConfig, list[tuple[str, tuple[int, 
 
 
 def load_weights(path, expected_config: ModelConfig | None = None) -> ModelWeights:
-    """Load a checkpoint; raises CheckpointError on truncation or mismatch."""
+    """Load a checkpoint.
+
+    Raises CheckpointError on truncation, trailing bytes, a non-finite
+    value, or a config or layout mismatch.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     view = io.BytesIO(blob)
@@ -402,6 +401,11 @@ def load_weights(path, expected_config: ModelConfig | None = None) -> ModelWeigh
         if len(raw) < count * 8:
             raise CheckpointError(f"truncated checkpoint: blob for {name!r} incomplete")
         arrays[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        if not np.all(np.isfinite(arrays[name])):
+            raise CheckpointError(f"checkpoint blob for {name!r} holds non-finite values")
+    trailing = len(blob) - view.tell()
+    if trailing:
+        raise CheckpointError(f"checkpoint has {trailing} trailing bytes after the last blob")
 
     fresh = init_weights(config, seed=0)
     expected_names = [name for name, _ in _manifest_entries(fresh)]

@@ -290,11 +290,16 @@ def relu(x: Tensor) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """Logistic function without masks: 1/(1+e) for x >= 0, else e/(1+e).
+
+    e = exp(min(x, -x)) = exp(-|x|) never overflows, and a NaN input keeps
+    its sign bit (-|x| would set it).
+    """
+    e = np.minimum(x, -x)
+    np.exp(e, out=e)
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 
@@ -356,11 +361,14 @@ def conv1d_causal(x: Tensor, kernel: ConvKernel) -> Tensor:
     d = kernel.dilation
     t_len = x.data.shape[1]
     pad = (k - 1) * d
-    xp = np.zeros((x.data.shape[0], t_len + pad), dtype=np.float64)
-    xp[:, pad:] = x.data
+    if pad:
+        xp = np.zeros((x.data.shape[0], t_len + pad), dtype=np.float64)
+        xp[:, pad:] = x.data
+    else:
+        xp = x.data
 
-    out_data = np.repeat(kernel.bias[:, None], t_len, axis=1)
-    for j in range(k):
+    out_data = kernel.bias[:, None] + kernel.weights[:, :, 0] @ xp[:, :t_len]
+    for j in range(1, k):
         out_data += kernel.weights[:, :, j] @ xp[:, j * d : j * d + t_len]
 
     def make_backward(out):
@@ -375,7 +383,9 @@ def conv1d_causal(x: Tensor, kernel: ConvKernel) -> Tensor:
                 for j in range(k):
                     kernel.grad_weights[:, :, j] += g @ xp[:, j * d : j * d + t_len].T
                 kernel.grad_bias += g.sum(axis=1)
-            if x.requires_grad:
+            if x.requires_grad and not pad:
+                _accumulate(x, kernel.weights[:, :, 0].T @ g)
+            elif x.requires_grad:
                 gxp = np.zeros_like(xp)
                 for j in range(k):
                     gxp[:, j * d : j * d + t_len] += kernel.weights[:, :, j].T @ g

@@ -334,12 +334,25 @@ class TestTrainEvalBench:
         from emgforge.model import save_weights
 
         weights = load_weights(run_dir / "model.ckpt")
+        # Finite weights whose skip sum overflows to inf, so the output is NaN.
+        for blk in weights.blocks[:2]:
+            blk.skip.bias[:] = 1e308
+        corrupt = tmp_path / "corrupt.ckpt"
+        save_weights(weights, corrupt)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = cli.main(["stream-bench", "--ckpt", str(corrupt), "--seconds", "0.05"])
+        assert rc == cli.EXIT_BREACH
+
+    def test_stream_bench_rejects_nonfinite_checkpoint(self, run_dir, tmp_path, capsys):
+        from emgforge.model import save_weights
+
+        weights = load_weights(run_dir / "model.ckpt")
         weights.output_proj.weights[0, 0, 0] = np.nan
         corrupt = tmp_path / "corrupt.ckpt"
         save_weights(weights, corrupt)
-        with np.errstate(invalid="ignore"):
-            rc = cli.main(["stream-bench", "--ckpt", str(corrupt), "--seconds", "0.05"])
-        assert rc == cli.EXIT_BREACH
+        rc = cli.main(["stream-bench", "--ckpt", str(corrupt), "--seconds", "0.05"])
+        assert rc == cli.EXIT_USAGE
+        assert "non-finite" in capsys.readouterr().err
 
     def test_train_divergence_exit(self, data_dir, tmp_path):
         config = tmp_path / "diverge.ini"

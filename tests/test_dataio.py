@@ -106,6 +106,19 @@ class TestLoadRecording:
         assert rec.meta == dataio.RecordingMeta("s07", "pronation", 3)
         assert rec.fs == 2000.0
 
+    def test_sidecar_fs_disagreeing_with_caller_rejected(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        write_csv(path, ["emg", "ax", "ay", "az", "gx", "gy", "gz"], seven_column_rows(5))
+        (tmp_path / "rec.meta.json").write_text('{"subject": "s07", "fs": 2000.0}\n')
+        with pytest.raises(SchemaError, match=r"rec\.meta\.json: sidecar fs=2000 .* fs=1000"):
+            dataio.load_recording(path, fs=1000.0)
+        assert dataio.load_recording(path, fs=2000.0).fs == 2000.0
+
+    def test_fs_defaults_without_caller_or_sidecar(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        write_csv(path, ["emg", "ax", "ay", "az", "gx", "gy", "gz"], seven_column_rows(5))
+        assert dataio.load_recording(path).fs == dataio.DEFAULT_FS == 1000.0
+        assert dataio.load_recording(path, fs=500.0).fs == 500.0
 
     def test_separate_files_reject_a_row_dropped_from_one(self, tmp_path):
         emg_path = tmp_path / "emg.csv"

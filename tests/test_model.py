@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -225,6 +227,42 @@ class TestStreaming:
             M.forward_streaming(w, M.StreamState(TINY), np.zeros(5))
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    k=st.integers(2, 4),
+    n_blocks=st.integers(1, 4),
+    window=st.integers(1, 8),
+    activation=st.sampled_from(M.ACTIVATIONS),
+    before_reset=st.integers(1, 40),
+    seed=st.integers(0, 1000),
+)
+def test_streaming_matches_batch_random_configs(k, n_blocks, window, activation, before_reset, seed):
+    cfg = M.ModelConfig(
+        kernel_size=k,
+        num_blocks=n_blocks,
+        residual_channels=4,
+        skip_channels=3,
+        context_window=window,
+        activation=activation,
+    )
+    w = M.init_weights(cfg, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    w.input_offset[:] = rng.standard_normal(6)
+    w.input_scale[:] = rng.uniform(0.5, 2.0, 6)
+    for _, kern in w.named_kernels():
+        kern.bias[:] = rng.standard_normal(kern.bias.shape) * 0.1
+    first = rng.standard_normal((6, before_reset))
+    second = rng.standard_normal((6, M.receptive_field(cfg).total + 20))
+    state = M.StreamState(cfg)
+    for x in (first, second):
+        with no_grad():
+            batch = M.forward(w, x).data[0]
+        streamed = [M.forward_streaming(w, state, x[:, 0].tolist())]
+        streamed += [M.forward_streaming(w, state, x[:, i]) for i in range(1, x.shape[1])]
+        assert np.max(np.abs(np.array(streamed) - batch)) <= 1e-9
+        state.reset()
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         w = M.init_weights(TINY, seed=22)
@@ -270,6 +308,33 @@ class TestCheckpoint:
         blob = path.read_bytes().replace(b"format_version=1", b"format_version=9", 1)
         path.write_bytes(blob)
         with pytest.raises(CheckpointError, match="version"):
+            M.load_weights(path)
+
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        w = M.init_weights(TINY, seed=27)
+        path = tmp_path / "model.ckpt"
+        M.save_weights(w, path)
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(CheckpointError, match="8 trailing bytes"):
+            M.load_weights(path)
+
+    @pytest.mark.parametrize("name", ["input_offset", "input_scale", "output_proj.bias"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_value_rejected(self, tmp_path, name, bad):
+        w = M.init_weights(TINY, seed=28)
+        path = tmp_path / "model.ckpt"
+        M.save_weights(w, path)
+        blob = bytearray(path.read_bytes())
+        (header_len,) = struct.unpack("<I", blob[8:12])
+        offset = 12 + header_len
+        for entry, arr in M._manifest_entries(w):
+            if entry == name:
+                break
+            offset += arr.size * 8
+        blob[offset : offset + 8] = struct.pack("<d", bad)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match=f"{name}.*non-finite"):
             M.load_weights(path)
 
 

@@ -105,6 +105,85 @@ class TestActivations:
         assert y.data.tolist() == [[0.0, 0.0, 2.0]]
 
 
+def masked_sigmoid(x):
+    """The boolean-mask sigmoid the mask-free one replaced, kept as the reference."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0, 746.0, -746.0,
+             709.8, -709.8, 5e-324, -5e-324, 1e-300, -1e-300]
+
+    def test_bit_identical_to_masked_on_edges(self):
+        x = np.array(self.EDGES)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = masked_sigmoid(x)
+        assert np.array_equal(T._sigmoid(x).view(np.uint64), want.view(np.uint64))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10_000), scale=st.sampled_from([1e-3, 1.0, 30.0, 800.0]))
+    def test_bit_identical_to_masked_on_random(self, seed, scale):
+        x = np.random.default_rng(seed).standard_normal((8, 64)) * scale
+        with np.errstate(over="ignore"):
+            want = masked_sigmoid(x)
+        assert np.array_equal(T._sigmoid(x).view(np.uint64), want.view(np.uint64))
+
+    def test_input_left_unchanged(self):
+        x = np.linspace(-5.0, 5.0, 11)
+        before = x.copy()
+        T._sigmoid(x)
+        assert np.array_equal(x, before)
+
+
+def loop_conv_with_grads(x, kernel, g):
+    """The per-tap conv1d_causal loop with its backward, kept as the reference.
+
+    Returns (output, grad_weights, grad_bias, grad_x) for upstream gradient g.
+    """
+    k, d = kernel.size, kernel.dilation
+    t_len = x.shape[1]
+    pad = (k - 1) * d
+    xp = np.zeros((x.shape[0], t_len + pad))
+    xp[:, pad:] = x
+    out = np.repeat(kernel.bias[:, None], t_len, axis=1)
+    for j in range(k):
+        out += kernel.weights[:, :, j] @ xp[:, j * d : j * d + t_len]
+    gw = np.zeros_like(kernel.weights)
+    gb = np.zeros_like(kernel.bias)
+    for j in range(k):
+        gw[:, :, j] += g @ xp[:, j * d : j * d + t_len].T
+    gb += g.sum(axis=1)
+    gxp = np.zeros_like(xp)
+    for j in range(k):
+        gxp[:, j * d : j * d + t_len] += kernel.weights[:, :, j].T @ g
+    gx = np.zeros_like(x)
+    gx += gxp[:, pad:]
+    return out, gw, gb, gx
+
+
+@pytest.mark.parametrize("k,d", [(1, 1), (3, 1), (3, 4)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_conv_bit_identical_to_loop(k, d, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((32, 257))
+    kernel = ConvKernel(rng.standard_normal((24, 32, k)), rng.standard_normal(24), d)
+    g = rng.standard_normal((24, 257))
+    want_out, want_gw, want_gb, want_gx = loop_conv_with_grads(x, kernel, g)
+
+    xt = Tensor(x, requires_grad=True)
+    y = conv1d_causal(xt, kernel)
+    backward(sum_all(mul(y, Tensor(g))))
+    assert np.array_equal(y.data, want_out)
+    assert np.array_equal(kernel.grad_weights, want_gw)
+    assert np.array_equal(kernel.grad_bias, want_gb)
+    assert np.array_equal(xt.grad, want_gx)
+
+
 class TestBackward:
     def test_sum_of_squares_gradient(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
