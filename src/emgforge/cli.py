@@ -149,6 +149,8 @@ def cmd_train(args) -> int:
 
     split = dataio.split_dataset(segments, cfg.train.train_fraction, cfg.train.seed)
     weights = init_weights(cfg.model, cfg.train.seed)
+    workers, blas_setting = training.window_workers(cfg.train.batch_size)
+    print(f"window workers: {workers} ({blas_setting})")
     weights, history = training.train(weights, split, cfg.train)
 
     ckpt = Path(args.out)

@@ -80,6 +80,10 @@ def receptive_field(config: ModelConfig) -> ReceptiveField:
 
 @dataclass
 class BlockWeights:
+    """One dilated block. The last block's residual output is never read, so
+    its kernel takes no part in the forward pass; it keeps its place in the
+    checkpoint layout."""
+
     dilated: ConvKernel
     residual: ConvKernel
     skip: ConvKernel
@@ -130,19 +134,30 @@ class ModelWeights:
         for _, kern in self.named_kernels():
             kern.zero_grad()
 
-    def copy(self) -> "ModelWeights":
+    def _rebuild(self, kernel, array) -> "ModelWeights":
         return ModelWeights(
             config=self.config,
-            input_offset=self.input_offset.copy(),
-            input_scale=self.input_scale.copy(),
-            input_proj=self.input_proj.copy(),
+            input_offset=array(self.input_offset),
+            input_scale=array(self.input_scale),
+            input_proj=kernel(self.input_proj),
             blocks=[
-                BlockWeights(b.dilated.copy(), b.residual.copy(), b.skip.copy())
+                BlockWeights(kernel(b.dilated), kernel(b.residual), kernel(b.skip))
                 for b in self.blocks
             ],
-            context=self.context.copy(),
-            output_proj=self.output_proj.copy(),
+            context=kernel(self.context),
+            output_proj=kernel(self.output_proj),
         )
+
+    def copy(self) -> "ModelWeights":
+        return self._rebuild(ConvKernel.copy, np.copy)
+
+    def gradient_view(self) -> "ModelWeights":
+        """The same parameter arrays with gradient fields of its own.
+
+        Several views can run forward and backward at once, one per thread;
+        each accumulates only into its own gradients.
+        """
+        return self._rebuild(ConvKernel.shared, lambda arr: arr)
 
 
 def init_weights(config: ModelConfig, seed: int = 0) -> ModelWeights:
@@ -191,11 +206,13 @@ def forward_parts(weights: ModelWeights, x) -> tuple[Tensor, Tensor, Tensor]:
         scale_channels(x, weights.input_offset, weights.input_scale), weights.input_proj
     )
     skip_sum = None
+    last = weights.blocks[-1]
     for blk in weights.blocks:
         g = _activate(conv1d_causal(z, blk.dilated), cfg.activation)
         s = conv1d_causal(g, blk.skip)
         skip_sum = s if skip_sum is None else add(skip_sum, s)
-        z = add(z, conv1d_causal(g, blk.residual))
+        if blk is not last:  # the last block's residual output is never read
+            z = add(z, conv1d_causal(g, blk.residual))
     context = conv1d_causal(skip_sum, weights.context)
     return skip_sum, context, conv1d_causal(context, weights.output_proj)
 
@@ -279,6 +296,7 @@ def forward_streaming(weights: ModelWeights, state: StreamState, sample) -> floa
 
     z = _conv_step(weights.input_proj, None, (v - weights.input_offset) * weights.input_scale)
     skip_sum = None
+    last = weights.blocks[-1]
     for blk, hist in zip(weights.blocks, state.block_histories):
         pre = _conv_step(blk.dilated, hist, z)
         if cfg.activation == "gated":
@@ -288,7 +306,8 @@ def forward_streaming(weights: ModelWeights, state: StreamState, sample) -> floa
             g = np.maximum(pre, 0.0)
         s = _conv_step(blk.skip, None, g)
         skip_sum = s if skip_sum is None else skip_sum + s
-        z = z + _conv_step(blk.residual, None, g)
+        if blk is not last:
+            z = z + _conv_step(blk.residual, None, g)
 
     context = _conv_step(weights.context, state.context_history, skip_sum)
     return float(_conv_step(weights.output_proj, None, context)[0])

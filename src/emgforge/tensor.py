@@ -8,11 +8,14 @@ input always produces bit-identical results.
 
 Ops executed while gradients are enabled are recorded on a Tape; backward()
 replays the records in exact reverse execution order, accumulating
-gradients additively into every tensor and kernel that requires them.
+gradients additively into every tensor and kernel that requires them, and
+drops each record once it has run. Whether ops record is a per-context
+setting, so no_grad() in one thread never stops recording in another.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -24,17 +27,21 @@ from .errors import DivergenceError, ShapeError
 # Toggle to validate that every forward op produces finite values.
 debug_nan_checks = False
 
-_grad_enabled = [True]
+_grad_enabled = contextvars.ContextVar("emgforge_grad_enabled", default=True)
 
 
 @contextmanager
 def no_grad():
-    """Disable tape recording inside the block (inference / validation)."""
-    _grad_enabled.append(False)
+    """Disable tape recording inside the block (inference / validation).
+
+    The setting belongs to the current thread's context; work handed to
+    other threads sees it only if it runs in a copy of this context.
+    """
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _grad_enabled.pop()
+        _grad_enabled.reset(token)
 
 
 class Tape:
@@ -77,14 +84,21 @@ class Tape:
         return len(self._root()._records)
 
     def run_backward(self) -> None:
-        for fn in reversed(self._root()._records):
-            fn()
+        """Run the records newest first, dropping each as it runs.
+
+        A record's closure holds its output Tensor, whose `.tape` holds the
+        record: popping it breaks that cycle, so each op's activations are
+        freed as soon as its backward step is done. The tape is empty after.
+        """
+        records = self._root()._records
+        while records:
+            records.pop()()
 
 
 class Tensor:
     """[channels x time] float64 array with an optional gradient."""
 
-    __slots__ = ("data", "grad", "requires_grad", "tape")
+    __slots__ = ("data", "grad", "requires_grad", "tape", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, tape: Tape | None = None):
         arr = np.asarray(data, dtype=np.float64)
@@ -160,6 +174,10 @@ class ConvKernel:
     def copy(self) -> "ConvKernel":
         return ConvKernel(self.weights.copy(), self.bias.copy(), self.dilation, self.requires_grad)
 
+    def shared(self) -> "ConvKernel":
+        """A kernel on the same weight and bias arrays with its own gradients."""
+        return ConvKernel(self.weights, self.bias, self.dilation, self.requires_grad)
+
 
 def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
     if tensor.grad is None:
@@ -178,7 +196,7 @@ def _join_tapes(*tensors: Tensor) -> Tape | None:
 def _result(data, inputs: tuple[Tensor, ...], requires: bool, make_backward) -> Tensor:
     if debug_nan_checks and not np.all(np.isfinite(data)):
         raise DivergenceError("non-finite values produced by a forward op")
-    if not _grad_enabled[-1]:
+    if not _grad_enabled.get():
         return Tensor(data)
     requires = requires or any(t.requires_grad for t in inputs)
     tape = _join_tapes(*inputs)
@@ -290,14 +308,16 @@ def relu(x: Tensor) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function without masks: 1/(1+e) for x >= 0, else e/(1+e).
+    """Logistic function without masks: exp(min(x, 0)) / (1 + exp(-|x|)).
 
-    e = exp(min(x, -x)) = exp(-|x|) never overflows, and a NaN input keeps
-    its sign bit (-|x| would set it).
+    The numerator is 1 for x >= 0 and exp(x) otherwise; neither exp can
+    overflow. e = exp(min(x, -x)) keeps a NaN input's sign bit (-|x| would
+    set it).
     """
     e = np.minimum(x, -x)
     np.exp(e, out=e)
-    out = np.where(x >= 0, 1.0, e)
+    out = np.minimum(x, 0.0)
+    np.exp(out, out=out)
     e += 1.0
     out /= e
     return out
@@ -401,7 +421,10 @@ def backward(loss: Tensor) -> None:
     if loss.data.shape != (1, 1):
         raise ShapeError(f"backward needs a scalar (1, 1) tensor, got {loss.data.shape}")
     if loss.tape is None or len(loss.tape) == 0:
-        raise ShapeError("loss has no recorded ops to backpropagate through")
+        raise ShapeError(
+            "loss has no recorded ops to backpropagate through "
+            "(backward runs once per recorded graph)"
+        )
     loss.grad = np.ones((1, 1), dtype=np.float64)
     loss.tape.run_backward()
 

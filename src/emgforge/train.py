@@ -1,17 +1,24 @@
 """MSE training loop with patience-based early stopping and evaluation.
 
 One epoch draws random fixed-length crops covering each training segment
-once in expectation, accumulates gradients window by window, and takes one
-Adam step per batch. Validation is a full-length forward pass over the
-held-out segments in fixed order; the weights from the best validation
+once in expectation and takes one Adam step per batch. The windows of a
+batch run forward and backward on a thread pool, each on its own gradient
+view of the weights; their gradients are summed in window order, which
+gives the same bits as accumulating them one window after another.
+Validation is a full-length forward pass over the held-out segments, with
+the losses reduced in fixed order; the weights from the best validation
 epoch are restored before returning.
 """
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import json
+import math
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +42,12 @@ class TrainConfig:
     improvement_tolerance: float = 1e-6
 
     def __post_init__(self):
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.crop_length < 1:
+            raise ConfigError(f"crop_length must be >= 1, got {self.crop_length}")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if not 0.0 < self.train_fraction < 1.0:
@@ -126,14 +139,73 @@ def fit_input_normalizer(weights: ModelWeights, segments: list[MergedSegment]) -
     weights.input_scale = 1.0 / std
 
 
-def validation_loss(weights: ModelWeights, segments: list[MergedSegment]) -> float:
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+# The BLAS library reads its thread count once, when numpy loads it, which
+# is before this module is imported.
+_BLAS_ENV = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def window_workers(batch_size: int) -> tuple[int, str]:
+    """Threads that train a batch's windows, and the BLAS setting behind that.
+
+    The CPUs this process may run on divided by the BLAS pool size it
+    started with, clamped to [1, batch_size]. A variable that does not hold
+    a positive integer counts as unset; with both unset BLAS runs one thread
+    per CPU, which leaves one window thread.
+    """
+    cpus = _cpu_count()
+    blas, source = cpus, "BLAS threads unset, one per CPU"
+    for var in BLAS_THREAD_VARS:
+        raw = (_BLAS_ENV[var] or "").strip()
+        if raw.isdecimal() and int(raw) >= 1:
+            blas, source = int(raw), f"{var}={raw}"
+            break
+    return max(1, min(batch_size, cpus // blas)), source
+
+
+def _pool_map(pool: ThreadPoolExecutor | None, fn, arg_lists) -> list:
+    """[fn(*args) for args in arg_lists], in order, on `pool` if given.
+
+    Each call runs in a copy of the caller's context, so the caller's
+    no_grad() and np.errstate settings hold inside the workers.
+    """
+    if pool is None:
+        return [fn(*args) for args in arg_lists]
+    futures = [pool.submit(contextvars.copy_context().run, fn, *args) for args in arg_lists]
+    try:
+        return [f.result() for f in futures]
+    finally:
+        for f in futures:
+            f.cancel()
+
+
+def _segment_loss(weights: ModelWeights, seg: MergedSegment) -> float:
+    pred = forward(weights, Tensor(seg.imu)).data[0]
+    return float(np.mean((pred - seg.target) ** 2))
+
+
+def validation_loss(
+    weights: ModelWeights, segments: list[MergedSegment], pool: ThreadPoolExecutor | None = None
+) -> float:
     """Mean full-length MSE over segments, reduced in fixed segment order."""
-    losses = []
     with no_grad():
-        for seg in segments:
-            pred = forward(weights, Tensor(seg.imu)).data[0]
-            losses.append(float(np.mean((pred - seg.target) ** 2)))
+        losses = _pool_map(pool, _segment_loss, [(weights, seg) for seg in segments])
     return float(np.mean(losses))
+
+
+def _window_gradients(weights: ModelWeights, x: np.ndarray, y: np.ndarray, inv_b: Tensor):
+    """One window's MSE and the gradients of MSE / batch size, on its own view."""
+    view = weights.gradient_view()
+    loss = mse_loss(forward(view, Tensor(x)), Tensor(y))
+    backward(mul(loss, inv_b))
+    return float(loss.data[0, 0]), view.gradient_arrays()
 
 
 def train(
@@ -161,44 +233,54 @@ def train(
     stopper = EarlyStopper(cfg.patience, cfg.improvement_tolerance)
     history = TrainHistory()
     best_arrays = None
-
-    for epoch in range(1, cfg.max_epochs + 1):
-        t0 = time.perf_counter()
-        loss_sum = 0.0
-        n_windows = 0
-        for batch in make_windows(
-            split, cfg.crop_length, cfg.batch_size, cfg.seed, epoch=epoch, min_length=rf
-        ):
-            weights.zero_grads()
-            b = batch.inputs.shape[0]
-            inv_b = Tensor(np.array([[1.0 / b]]))
-            for i in range(b):
-                pred = forward(weights, Tensor(batch.inputs[i]))
-                loss = mse_loss(pred, Tensor(batch.targets[i]))
-                backward(mul(loss, inv_b))
-                loss_sum += float(loss.data[0, 0])
-                n_windows += 1
-            try:
-                adam_state = adam_step(
-                    params, weights.gradient_arrays(), adam_state, cfg.learning_rate
+    # Windows run on pool threads even with one worker, so that every worker
+    # count takes the same path.
+    n_workers = window_workers(cfg.batch_size)[0]
+    with ThreadPoolExecutor(n_workers, thread_name_prefix="emgforge-window") as pool:
+        for epoch in range(1, cfg.max_epochs + 1):
+            t0 = time.perf_counter()
+            loss_sum = 0.0
+            n_windows = 0
+            for batch in make_windows(
+                split, cfg.crop_length, cfg.batch_size, cfg.seed, epoch=epoch, min_length=rf
+            ):
+                inv_b = Tensor(np.array([[1.0 / batch.inputs.shape[0]]]))
+                losses, window_grads = zip(
+                    *_pool_map(
+                        pool,
+                        _window_gradients,
+                        [(weights, x, y, inv_b) for x, y in zip(batch.inputs, batch.targets)],
+                    )
                 )
-            except DivergenceError as exc:
-                raise DivergenceError(f"epoch {epoch}: {exc}") from exc
+                for loss in losses:
+                    loss_sum += loss
+                n_windows += len(losses)
+                # Each window's gradients start from zero, so summing them in
+                # window order adds the same terms in the same order as one
+                # accumulator shared by the windows would.
+                grads = window_grads[0]
+                for later in window_grads[1:]:
+                    for name, g in later.items():
+                        grads[name] += g
+                try:
+                    adam_state = adam_step(params, grads, adam_state, cfg.learning_rate)
+                except DivergenceError as exc:
+                    raise DivergenceError(f"epoch {epoch}: {exc}") from exc
 
-        train_loss = loss_sum / max(n_windows, 1)
-        val_loss = validation_loss(weights, split.test)
-        if not np.isfinite(train_loss) or not np.isfinite(val_loss):
-            raise DivergenceError(f"non-finite loss at epoch {epoch}")
+            train_loss = loss_sum / max(n_windows, 1)
+            val_loss = validation_loss(weights, split.test, pool)
+            if not np.isfinite(train_loss) or not np.isfinite(val_loss):
+                raise DivergenceError(f"non-finite loss at epoch {epoch}")
 
-        history.epochs.append(
-            EpochStats(epoch, train_loss, val_loss, time.perf_counter() - t0)
-        )
-        if stopper.update(val_loss):
-            best_arrays = {k: v.copy() for k, v in params.items()}
-        history.best_epoch = stopper.best_epoch
-        history.stopped_epoch = epoch
-        if stopper.should_stop:
-            break
+            history.epochs.append(
+                EpochStats(epoch, train_loss, val_loss, time.perf_counter() - t0)
+            )
+            if stopper.update(val_loss):
+                best_arrays = {k: v.copy() for k, v in params.items()}
+            history.best_epoch = stopper.best_epoch
+            history.stopped_epoch = epoch
+            if stopper.should_stop:
+                break
 
     if best_arrays is not None:
         for name, arr in params.items():

@@ -195,6 +195,23 @@ class TestTrainEvalBench:
             outs.append(out / "m.ckpt")
         assert filecmp.cmp(outs[0], outs[1], shallow=False)
 
+    def test_train_window_workers_same_bytes(
+        self, data_dir, tmp_path, tiny_config, monkeypatch, capsys
+    ):
+        outs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(
+                training, "window_workers", lambda batch_size, n=workers: (n, "patched")
+            )
+            out = tmp_path / f"w{workers}"
+            argv = ["train", "--data", str(data_dir), "--out", str(out / "m.ckpt")]
+            assert cli.main(argv + ["--config", str(tiny_config)]) == 0
+            assert f"window workers: {workers} (patched)" in capsys.readouterr().out
+            outs.append(out)
+        assert filecmp.cmp(outs[0] / "m.ckpt", outs[1] / "m.ckpt", shallow=False)
+        assert filecmp.cmp(outs[0] / "m.run.json", outs[1] / "m.run.json", shallow=False)
+        assert "workers" not in (outs[0] / "m.run.json").read_text()
+
     def test_train_empty_dir_rejected(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()

@@ -171,6 +171,33 @@ class TestForward:
         x = rand_input(50, seed=13)
         assert np.array_equal(M.forward(w, x).data, M.forward(w, x).data)
 
+    @pytest.mark.parametrize("activation", ["gated", "relu"])
+    def test_last_residual_kernel_unused(self, activation):
+        cfg = M.ModelConfig(
+            kernel_size=2,
+            num_blocks=3,
+            residual_channels=4,
+            skip_channels=4,
+            context_window=3,
+            activation=activation,
+        )
+        w = M.init_weights(cfg, seed=22)
+        x = rand_input(40, seed=23)
+
+        def outputs():
+            state = M.StreamState(cfg)
+            streamed = [M.forward_streaming(w, state, x[:, i]) for i in range(x.shape[1])]
+            return M.forward(w, x).data.tobytes(), np.array(streamed).tobytes()
+
+        before = outputs()
+        last = w.blocks[-1].residual
+        last.weights[:] = np.random.default_rng(24).standard_normal(last.weights.shape) * 1e3
+        last.bias[:] = -7.0
+        assert outputs() == before
+        # An earlier block's residual path does feed the output.
+        w.blocks[0].residual.bias[:] = 1.0
+        assert outputs()[0] != before[0]
+
 
 class TestStreaming:
     @pytest.mark.parametrize("activation", ["gated", "relu"])

@@ -1,3 +1,9 @@
+import gc
+import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
+from contextvars import copy_context
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -212,6 +218,35 @@ class TestBackward:
         x.zero_grad()
         assert x.grad is None
 
+    def test_second_backward_on_same_loss_rejected(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        loss = sum_all(mul(x, x))
+        backward(loss)
+        first = x.grad.copy()
+        with pytest.raises(ShapeError):
+            backward(loss)
+        assert np.array_equal(x.grad, first)
+
+    def test_tape_released_during_backward(self):
+        # Without the cyclic GC only reference counting can free the graph,
+        # so a dead weakref means backward itself dropped every reference.
+        rng = np.random.default_rng(3)
+        kern = ConvKernel(rng.standard_normal((4, 2, 3)), rng.standard_normal(4), 2)
+        x = Tensor(rng.standard_normal((2, 32)), requires_grad=True)
+        gc.disable()
+        try:
+            h = gated_activation(conv1d_causal(x, kern))
+            ref = weakref.ref(h)
+            loss = mean_all(mul(h, h))
+            del h
+            assert ref() is not None
+            backward(loss)
+            assert ref() is None
+        finally:
+            gc.enable()
+        assert len(loss.tape) == 0
+        assert kern.grad_weights is not None and x.grad is not None
+
     def test_causal_input_gradient_is_zero_for_future(self):
         rng = np.random.default_rng(0)
         kern = ConvKernel(rng.standard_normal((2, 3, 3)), np.zeros(2), 2)
@@ -280,6 +315,41 @@ class TestBackward:
         with no_grad():
             y = mul(x, x)
         assert y.tape is None and not y.requires_grad
+
+    def test_no_grad_is_per_thread(self):
+        # One thread sits inside no_grad() while the other records; the
+        # barrier makes both ops run while the no_grad() block is open.
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        barrier = threading.Barrier(2, timeout=10)
+        out = {}
+
+        def quiet():
+            with no_grad():
+                barrier.wait()
+                out["quiet"] = mul(x, x)
+                barrier.wait()
+
+        def recording():
+            barrier.wait()
+            out["recording"] = mul(x, x)
+            barrier.wait()
+
+        threads = [threading.Thread(target=quiet), threading.Thread(target=recording)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert out["quiet"].tape is None and not out["quiet"].requires_grad
+        assert out["recording"].tape is not None and out["recording"].requires_grad
+
+    def test_no_grad_reaches_a_copied_context(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with ThreadPoolExecutor(1) as pool, no_grad():
+            plain = pool.submit(mul, x, x).result()
+            copied = pool.submit(copy_context().run, mul, x, x).result()
+        assert plain.tape is not None
+        assert copied.tape is None
 
     def test_debug_nan_check_flags_nonfinite(self):
         T.debug_nan_checks = True

@@ -1,3 +1,7 @@
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +15,8 @@ from emgforge.errors import (
     InsufficientDataError,
     ShapeError,
 )
-from emgforge.model import ModelConfig, init_weights
-from emgforge.tensor import Tensor
+from emgforge.model import ModelConfig, forward, init_weights, receptive_field
+from emgforge.tensor import Tensor, adam_step, backward, mul, no_grad
 
 FS = 1000.0
 
@@ -204,6 +208,144 @@ class TestTrainLoop:
         stacked = np.concatenate([s.imu for s in split.train], axis=1)
         assert np.allclose(w.input_offset, stacked.mean(axis=1))
         assert np.allclose(w.input_scale, 1.0 / stacked.std(axis=1))
+
+
+def serial_train(weights, split, cfg):
+    """The oracle: every window of a batch forward and backward one after
+    another on the main thread, accumulating into the weights' own gradients."""
+    rf = receptive_field(weights.config).total
+    tr.fit_input_normalizer(weights, split.train)
+    params = weights.parameter_arrays()
+    state = None
+    stopper = tr.EarlyStopper(cfg.patience, cfg.improvement_tolerance)
+    losses, best = [], None
+    for epoch in range(1, cfg.max_epochs + 1):
+        loss_sum, n = 0.0, 0
+        for batch in dataio.make_windows(
+            split, cfg.crop_length, cfg.batch_size, cfg.seed, epoch=epoch, min_length=rf
+        ):
+            weights.zero_grads()
+            inv_b = Tensor(np.array([[1.0 / batch.inputs.shape[0]]]))
+            for x, y in zip(batch.inputs, batch.targets):
+                loss = tr.mse_loss(forward(weights, Tensor(x)), Tensor(y))
+                backward(mul(loss, inv_b))
+                loss_sum += float(loss.data[0, 0])
+                n += 1
+            state = adam_step(params, weights.gradient_arrays(), state, cfg.learning_rate)
+        with no_grad():
+            val = float(
+                np.mean(
+                    [
+                        float(np.mean((forward(weights, Tensor(s.imu)).data[0] - s.target) ** 2))
+                        for s in split.test
+                    ]
+                )
+            )
+        losses.append((loss_sum / n, val))
+        if stopper.update(val):
+            best = {k: v.copy() for k, v in params.items()}
+        if stopper.should_stop:
+            break
+    for name, arr in params.items():
+        arr[:] = best[name]
+    return losses, weights
+
+
+class TestParallelWindows:
+    CFG = tr.TrainConfig(
+        learning_rate=3e-3, batch_size=4, crop_length=128, max_epochs=4, patience=2, seed=3
+    )
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_bit_identical_to_serial_windows(self, workers, monkeypatch):
+        # Two test segments, so validation is mapped over the pool too; 15
+        # windows an epoch, so the last batch of each holds three.
+        split = tiny_split(n_segments=7)
+        split = dataio.DatasetSplit(split.train[:5], split.train[5:] + split.test, seed=0)
+        want_losses, want = serial_train(init_weights(TINY_MODEL, seed=4), split, self.CFG)
+
+        monkeypatch.setattr(tr, "window_workers", lambda batch_size: (workers, "patched"))
+        # Frequent thread switches, so a lost or misordered update would show.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got, hist = tr.train(init_weights(TINY_MODEL, seed=4), split, self.CFG)
+        finally:
+            sys.setswitchinterval(interval)
+        assert list(zip(hist.train_losses, hist.val_losses)) == want_losses
+        for (name, a), (_, b) in zip(
+            got.parameter_arrays().items(), want.parameter_arrays().items()
+        ):
+            assert a.tobytes() == b.tobytes(), name
+        assert got.input_offset.tobytes() == want.input_offset.tobytes()
+        assert got.input_scale.tobytes() == want.input_scale.tobytes()
+
+    def test_validation_loss_on_pool_matches_serial(self):
+        split = tiny_split(n_segments=5)
+        w = init_weights(TINY_MODEL, seed=6)
+        with ThreadPoolExecutor(2) as pool:
+            assert tr.validation_loss(w, split.train, pool) == tr.validation_loss(w, split.train)
+
+    def test_divergence_warns_nothing_from_workers(self, monkeypatch):
+        # The caller's np.errstate must reach the worker threads; a warning
+        # raised there would surface as the error instead of DivergenceError.
+        monkeypatch.setattr(tr, "window_workers", lambda batch_size: (2, "patched"))
+        w = init_weights(TINY_MODEL, seed=0)
+        cfg = tr.TrainConfig(
+            learning_rate=1e160, batch_size=4, crop_length=128, max_epochs=3, patience=2
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(DivergenceError, match="epoch"):
+                    tr.train(w, tiny_split(), cfg)
+
+
+class TestWindowWorkers:
+    @pytest.mark.parametrize(
+        "env, cpus, batch, want",
+        [
+            ({}, 2, 16, (1, "BLAS threads unset, one per CPU")),
+            ({"OPENBLAS_NUM_THREADS": "1"}, 2, 16, (2, "OPENBLAS_NUM_THREADS=1")),
+            ({"OPENBLAS_NUM_THREADS": "1"}, 8, 3, (3, "OPENBLAS_NUM_THREADS=1")),
+            (
+                {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"},
+                8,
+                16,
+                (4, "OPENBLAS_NUM_THREADS=2"),
+            ),
+            (
+                {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"},
+                8,
+                16,
+                (4, "OMP_NUM_THREADS=2"),
+            ),
+            ({"OPENBLAS_NUM_THREADS": "x"}, 4, 16, (1, "BLAS threads unset, one per CPU")),
+            ({"OMP_NUM_THREADS": "16"}, 4, 16, (1, "OMP_NUM_THREADS=16")),
+        ],
+    )
+    def test_cpus_over_blas_threads(self, env, cpus, batch, want, monkeypatch):
+        monkeypatch.setattr(tr, "_BLAS_ENV", {var: env.get(var) for var in tr.BLAS_THREAD_VARS})
+        monkeypatch.setattr(tr, "_cpu_count", lambda: cpus)
+        assert tr.window_workers(batch) == want
+
+
+class TestTrainConfigValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("learning_rate", 0.0),
+            ("learning_rate", -1e-3),
+            ("learning_rate", float("nan")),
+            ("learning_rate", float("inf")),
+            ("batch_size", 0),
+            ("crop_length", 0),
+            ("crop_length", -5),
+        ],
+    )
+    def test_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            tr.TrainConfig(**{field: value})
 
 
 class TestEvaluate:
