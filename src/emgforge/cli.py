@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, metrics, synthgen, train as training
-from .config import RunConfig, default_run_config, load_run_config
+from .config import RunConfig, load_run_config
 from .errors import DivergenceError, NoActivityError, PipelineError
 from .model import (
     StreamState,
@@ -44,7 +44,7 @@ def _load_config(path_arg) -> RunConfig:
     path = path_arg or os.environ.get(CONFIG_ENV_VAR)
     if path:
         return load_run_config(path)
-    return default_run_config()
+    return RunConfig()
 
 
 def _recording_paths(data_dir: Path) -> list[Path]:
@@ -55,7 +55,7 @@ def _load_segments(data_dir: Path, cfg: RunConfig, motion: str | None):
     segments = []
     for path in _recording_paths(data_dir):
         rec = dataio.load_recording(path, fs=cfg.fs)
-        segments.extend(dataio.build_segments(rec, cfg.segmentation))
+        segments.extend(dataio.build_segments(rec, cfg.segmentation, cfg.filter))
     if motion:
         segments = [s for s in segments if s.meta.motion == motion]
     return segments
@@ -130,7 +130,7 @@ def cmd_synth_data(args) -> int:
 def cmd_preprocess(args) -> int:
     cfg = _load_config(args.config)
     rec = dataio.load_recording(args.infile, fs=cfg.fs)
-    segments = dataio.build_segments(rec, cfg.segmentation)
+    segments = dataio.build_segments(rec, cfg.segmentation, cfg.filter)
     dataio.write_segments(segments, args.out)
     print(f"segments: {len(segments)}")
     return EXIT_OK

@@ -3,12 +3,16 @@
 Unknown sections or keys are rejected so typos cannot silently fall back
 to defaults. Every tunable pipeline decision (filter chain and cutoffs,
 envelope cutoff, segmentation parameters, model dimensions, activation,
-training hyperparameters) is a key here.
+training hyperparameters) is a key here. The schema, `snapshot()` and
+`load_run_config` are derived from the dataclass fields: a dataclass field
+of `RunConfig` is a section, any other a `[data]` key, and each key's type
+is that of its default value.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,6 +21,52 @@ from .errors import ConfigError
 from .model import ModelConfig
 from .signal import FilterChainConfig
 from .train import TrainConfig
+
+# Set by the data layout (six IMU channels in, one envelope out), not by the user.
+_FIXED_FIELDS = ("in_channels", "out_channels")
+
+
+def _band_keys(name: str, value):
+    """The keys of a `(low, high)` cutoff pair, `<stem>_low_hz` and `<stem>_high_hz`."""
+    if isinstance(value, tuple) and name.endswith("_hz"):
+        stem = name[: -len("_hz")]
+        return f"{stem}_low_hz", f"{stem}_high_hz"
+    return None
+
+
+def _flat_keys(obj, prefix: str) -> dict:
+    """`obj`'s fields as flat `section.key` entries; a nested dataclass is its own section."""
+    out = {}
+    for f in dataclasses.fields(obj):
+        if f.name in _FIXED_FIELDS:
+            continue
+        value = getattr(obj, f.name)
+        band = _band_keys(f.name, value)
+        if dataclasses.is_dataclass(value):
+            out.update(_flat_keys(value, f"{f.name}."))
+        elif band:
+            out.update(zip((prefix + k for k in band), value))
+        else:
+            out[prefix + f.name] = ",".join(value) if isinstance(value, tuple) else value
+    return out
+
+
+def _replace_from_keys(obj, keys: dict, prefix: str):
+    """The inverse of `_flat_keys`: a copy of `obj` with the values found in `keys`."""
+    changes = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        band = _band_keys(f.name, value)
+        key = prefix + f.name
+        if dataclasses.is_dataclass(value):
+            changes[f.name] = _replace_from_keys(value, keys, f"{f.name}.")
+        elif band:
+            changes[f.name] = tuple(keys.get(prefix + k, v) for k, v in zip(band, value))
+        elif key in keys and isinstance(value, tuple):
+            changes[f.name] = tuple(s.strip() for s in keys[key].split(","))
+        elif key in keys:
+            changes[f.name] = keys[key]
+    return dataclasses.replace(obj, **changes)
 
 
 @dataclass
@@ -29,75 +79,13 @@ class RunConfig:
 
     def snapshot(self) -> dict:
         """Flat key/value view for run metadata."""
-        out = {"data.fs": self.fs}
-        out.update(
-            {
-                "filter.highpass_hz": self.filter.highpass_hz,
-                "filter.bandpass_low_hz": self.filter.bandpass_hz[0],
-                "filter.bandpass_high_hz": self.filter.bandpass_hz[1],
-                "filter.bandstop_low_hz": self.filter.bandstop_hz[0],
-                "filter.bandstop_high_hz": self.filter.bandstop_hz[1],
-                "filter.order": self.filter.order,
-                "filter.stages": ",".join(self.filter.stages),
-                "segmentation.min_distance": self.segmentation.min_distance,
-                "segmentation.top_k": self.segmentation.top_k,
-                "segmentation.envelope_lp_hz": self.segmentation.envelope_lp_hz,
-            }
-        )
-        for name in (
-            "kernel_size",
-            "num_blocks",
-            "residual_channels",
-            "skip_channels",
-            "context_window",
-            "activation",
-        ):
-            out[f"model.{name}"] = getattr(self.model, name)
-        for name in (
-            "learning_rate",
-            "batch_size",
-            "crop_length",
-            "max_epochs",
-            "patience",
-            "seed",
-            "train_fraction",
-            "improvement_tolerance",
-        ):
-            out[f"train.{name}"] = getattr(self.train, name)
-        return out
+        return _flat_keys(self, "data.")
 
 
-_SCHEMA = {
-    "data": {"fs": float},
-    "filter": {
-        "highpass_hz": float,
-        "bandpass_low_hz": float,
-        "bandpass_high_hz": float,
-        "bandstop_low_hz": float,
-        "bandstop_high_hz": float,
-        "order": int,
-        "stages": str,
-    },
-    "segmentation": {"min_distance": int, "top_k": int, "envelope_lp_hz": float},
-    "model": {
-        "kernel_size": int,
-        "num_blocks": int,
-        "residual_channels": int,
-        "skip_channels": int,
-        "context_window": int,
-        "activation": str,
-    },
-    "train": {
-        "learning_rate": float,
-        "batch_size": int,
-        "crop_length": int,
-        "max_epochs": int,
-        "patience": int,
-        "seed": int,
-        "train_fraction": float,
-        "improvement_tolerance": float,
-    },
-}
+_SCHEMA: dict[str, dict[str, type]] = {}
+for _name, _value in RunConfig().snapshot().items():
+    _section, _key = _name.split(".")
+    _SCHEMA.setdefault(_section, {})[_key] = type(_value)
 
 
 def load_run_config(path) -> RunConfig:
@@ -110,76 +98,23 @@ def load_run_config(path) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
 
-    values: dict[str, dict] = {}
+    values = {}
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}] in {path}")
-        values[section] = {}
         for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}] of {path}")
             caster = _SCHEMA[section][key]
             try:
-                values[section][key] = caster(raw)
+                values[f"{section}.{key}"] = caster(raw)
             except ValueError as exc:
                 raise ConfigError(
                     f"bad value {raw!r} for [{section}] {key} (expected {caster.__name__})"
                 ) from exc
-
-    cfg = RunConfig()
-    data = values.get("data", {})
-    if "fs" in data:
-        cfg.fs = data["fs"]
-
-    f = values.get("filter", {})
-    stages = tuple(s.strip() for s in f.get("stages", ",".join(cfg.filter.stages)).split(","))
-    cfg.filter = FilterChainConfig(
-        highpass_hz=f.get("highpass_hz", cfg.filter.highpass_hz),
-        bandpass_hz=(
-            f.get("bandpass_low_hz", cfg.filter.bandpass_hz[0]),
-            f.get("bandpass_high_hz", cfg.filter.bandpass_hz[1]),
-        ),
-        bandstop_hz=(
-            f.get("bandstop_low_hz", cfg.filter.bandstop_hz[0]),
-            f.get("bandstop_high_hz", cfg.filter.bandstop_hz[1]),
-        ),
-        order=f.get("order", cfg.filter.order),
-        stages=stages,
-    )
-
-    s = values.get("segmentation", {})
-    cfg.segmentation = SegmentationParams(
-        min_distance=s.get("min_distance", cfg.segmentation.min_distance),
-        top_k=s.get("top_k", cfg.segmentation.top_k),
-        envelope_lp_hz=s.get("envelope_lp_hz", cfg.segmentation.envelope_lp_hz),
-        chain=cfg.filter,
-    )
-
-    m = values.get("model", {})
-    cfg.model = ModelConfig(
-        kernel_size=m.get("kernel_size", cfg.model.kernel_size),
-        num_blocks=m.get("num_blocks", cfg.model.num_blocks),
-        residual_channels=m.get("residual_channels", cfg.model.residual_channels),
-        skip_channels=m.get("skip_channels", cfg.model.skip_channels),
-        context_window=m.get("context_window", cfg.model.context_window),
-        activation=m.get("activation", cfg.model.activation),
-    )
-
-    t = values.get("train", {})
-    cfg.train = TrainConfig(
-        learning_rate=t.get("learning_rate", cfg.train.learning_rate),
-        batch_size=t.get("batch_size", cfg.train.batch_size),
-        crop_length=t.get("crop_length", cfg.train.crop_length),
-        max_epochs=t.get("max_epochs", cfg.train.max_epochs),
-        patience=t.get("patience", cfg.train.patience),
-        seed=t.get("seed", cfg.train.seed),
-        train_fraction=t.get("train_fraction", cfg.train.train_fraction),
-        improvement_tolerance=t.get("improvement_tolerance", cfg.train.improvement_tolerance),
-    )
-    return cfg
+    return _replace_from_keys(RunConfig(), values, "data.")
 
 
 def default_run_config() -> RunConfig:
-    cfg = RunConfig()
-    cfg.segmentation = SegmentationParams(chain=cfg.filter)
-    return cfg
+    """Same as `RunConfig()`; kept because `perfbench/workloads.py` calls it."""
+    return RunConfig()

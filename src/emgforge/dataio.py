@@ -339,22 +339,24 @@ class SegmentationParams:
     min_distance: int = 150
     top_k: int = 7
     envelope_lp_hz: float = 6.0
-    chain: dsp.FilterChainConfig = field(default_factory=dsp.FilterChainConfig)
 
 
 def build_segments(
-    rec: RawRecording, params: SegmentationParams | None = None
+    rec: RawRecording,
+    params: SegmentationParams | None = None,
+    chain: dsp.FilterChainConfig | None = None,
 ) -> list[MergedSegment]:
     """Run the EMG pipeline and slice all channels with the peak-based bounds.
 
-    preprocess -> envelope -> normalize -> peak detection -> midpoint cuts;
-    raises NoActivityError when the recording holds no usable contractions.
+    preprocess (with `chain`, default chain when None) -> envelope ->
+    normalize -> peak detection -> midpoint cuts; raises NoActivityError when
+    the recording holds no usable contractions.
     """
     params = params or SegmentationParams()
     if len(rec) == 0:
         raise EmptyInputError("recording is empty")
 
-    filtered = dsp.preprocess_emg(rec.emg, params.chain)
+    filtered = dsp.preprocess_emg(rec.emg, chain)
     envelope = dsp.compute_envelope(filtered, params.envelope_lp_hz)
     try:
         target = dsp.normalize_envelope(envelope)

@@ -74,12 +74,6 @@ def fft(x) -> Spectrum:
     return Spectrum(_fft_pow2(padded), n)
 
 
-def ifft(spectrum: Spectrum) -> np.ndarray:
-    """Inverse DFT; returns the complex sequence of length spectrum.n."""
-    conj = np.conj(spectrum.bins)
-    return np.conj(_fft_pow2(conj)) / spectrum.n
-
-
 def mse(a, b) -> float:
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()

@@ -10,6 +10,7 @@ the batch output sample by sample.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import struct
 from dataclasses import dataclass
@@ -322,16 +323,8 @@ def forward_streaming(weights: ModelWeights, state: StreamState, sample) -> floa
 _MAGIC = b"EFWNET01"
 _FORMAT_VERSION = 1
 
-_CONFIG_FIELDS = (
-    "kernel_size",
-    "num_blocks",
-    "residual_channels",
-    "skip_channels",
-    "context_window",
-    "in_channels",
-    "out_channels",
-    "activation",
-)
+# Header field order and the type each value is parsed back to.
+_CONFIG_FIELDS = {f.name: type(f.default) for f in dataclasses.fields(ModelConfig)}
 
 
 def _manifest_entries(weights: ModelWeights):
@@ -369,7 +362,12 @@ def _parse_header(header: str) -> tuple[ModelConfig, list[tuple[str, tuple[int, 
             version = int(line.split("=", 1)[1])
         elif line.startswith("config."):
             key, value = line[len("config.") :].split("=", 1)
-            fields[key] = value if key == "activation" else int(value)
+            if key not in _CONFIG_FIELDS:
+                raise CheckpointError(f"unrecognized header line: {line!r}")
+            try:
+                fields[key] = _CONFIG_FIELDS[key](value)
+            except ValueError as exc:
+                raise CheckpointError(f"bad value in header line: {line!r}") from exc
         elif line.startswith("param "):
             parts = line.split()
             manifest.append((parts[1], tuple(int(d) for d in parts[2:])))

@@ -56,6 +56,10 @@ class TrainConfig:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if not (math.isfinite(self.improvement_tolerance) and self.improvement_tolerance >= 0.0):
+            raise ConfigError(
+                f"improvement_tolerance must be finite and >= 0, got {self.improvement_tolerance}"
+            )
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import configparser
 import csv
 import filecmp
 import json
@@ -7,11 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emgforge import cli
+from emgforge import cli, dataio
 from emgforge import train as training
-from emgforge.config import load_run_config
+from emgforge.config import RunConfig, load_run_config
 from emgforge.errors import ConfigError
 from emgforge.model import load_weights
+from emgforge.signal import FilterChainConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 TINY_CONFIG = """
 [model]
@@ -28,6 +32,79 @@ crop_length = 256
 max_epochs = 3
 patience = 5
 seed = 1
+"""
+
+
+# Every section set, mostly to non-default values; `stages` also checks the
+# whitespace handling of a comma list.
+EVERY_SECTION_CONFIG = """
+[data]
+fs = 1000
+
+[filter]
+highpass_hz = 60
+bandpass_low_hz = 25
+bandpass_high_hz = 280
+bandstop_low_hz = 47
+bandstop_high_hz = 53
+order = 2
+stages = bandpass, highpass,bandstop
+
+[segmentation]
+min_distance = 200
+top_k = 7
+envelope_lp_hz = 5
+
+[model]
+kernel_size = 2
+num_blocks = 2
+residual_channels = 5
+skip_channels = 4
+context_window = 3
+activation = relu
+
+[train]
+learning_rate = 0.002
+batch_size = 4
+crop_length = 256
+max_epochs = 3
+patience = 2
+seed = 3
+train_fraction = 0.8
+improvement_tolerance = 1e-5
+"""
+
+EVERY_SECTION_RUN_JSON = """{
+  "data.fs": 1000.0,
+  "filter.bandpass_high_hz": 280.0,
+  "filter.bandpass_low_hz": 25.0,
+  "filter.bandstop_high_hz": 53.0,
+  "filter.bandstop_low_hz": 47.0,
+  "filter.highpass_hz": 60.0,
+  "filter.order": 2,
+  "filter.stages": "bandpass,highpass,bandstop",
+  "filter_passes": "single_causal",
+  "model.activation": "relu",
+  "model.context_window": 3,
+  "model.kernel_size": 2,
+  "model.num_blocks": 2,
+  "model.residual_channels": 5,
+  "model.skip_channels": 4,
+  "normalization": "per_recording_envelope_max",
+  "prediction_target": "normalized_envelope",
+  "segmentation.envelope_lp_hz": 5.0,
+  "segmentation.min_distance": 200,
+  "segmentation.top_k": 7,
+  "train.batch_size": 4,
+  "train.crop_length": 256,
+  "train.improvement_tolerance": 1e-05,
+  "train.learning_rate": 0.002,
+  "train.max_epochs": 3,
+  "train.patience": 2,
+  "train.seed": 3,
+  "train.train_fraction": 0.8,
+  "validation_set": "held_out_test_split"
+}
 """
 
 
@@ -122,6 +199,31 @@ class TestPreprocess:
         flat.write_text("emg,ax,ay,az,gx,gy,gz\n" + rows + "\n")
         rc = cli.main(["preprocess", "--in", str(flat), "--out", str(tmp_path / "o.csv")])
         assert rc == cli.EXIT_EMPTY
+
+    def test_configured_filter_chain_drives_segmentation(self, data_dir, tmp_path):
+        config = tmp_path / "bandpass.ini"
+        config.write_text("[filter]\nstages = bandpass\n")
+        infile = data_dir / "bicep_curl_day1.csv"
+        rc = cli.main(
+            [
+                "preprocess",
+                "--in",
+                str(infile),
+                "--out",
+                str(tmp_path / "cli.csv"),
+                "--config",
+                str(config),
+            ]
+        )
+        assert rc == 0
+        cfg = load_run_config(config)
+        rec = dataio.load_recording(infile, fs=cfg.fs)
+        configured = dataio.build_segments(rec, cfg.segmentation, cfg.filter)
+        dataio.write_segments(configured, tmp_path / "configured.csv")
+        dataio.write_segments(dataio.build_segments(rec, cfg.segmentation), tmp_path / "default.csv")
+        written = (tmp_path / "cli.csv").read_bytes()
+        assert written == (tmp_path / "configured.csv").read_bytes()
+        assert written != (tmp_path / "default.csv").read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -424,7 +526,64 @@ class TestRunConfig:
         assert cfg.filter.highpass_hz == 60.0
         assert cfg.segmentation.top_k == 5
         assert cfg.model.activation == "relu"
-        assert cfg.segmentation.chain == cfg.filter
+
+    def test_run_config_filter_drives_segmentation(self, data_dir):
+        cfg = RunConfig(filter=FilterChainConfig(highpass_hz=60.0))
+        rec = dataio.load_recording(data_dir / "bicep_curl_day1.csv", fs=cfg.fs)
+        configured = dataio.build_segments(rec, cfg.segmentation, cfg.filter)
+        default = dataio.build_segments(rec, cfg.segmentation)
+        segments = cli._load_segments(data_dir, cfg, None)[: len(configured)]
+        assert [s.segment_id for s in segments] == [s.segment_id for s in configured]
+        for got, want in zip(segments, configured):
+            assert np.array_equal(got.target, want.target)
+        assert not np.array_equal(segments[0].target, default[0].target)
+
+    def test_snapshot_keys_pinned(self):
+        assert set(RunConfig().snapshot()) == {
+            "data.fs",
+            "filter.highpass_hz",
+            "filter.bandpass_low_hz",
+            "filter.bandpass_high_hz",
+            "filter.bandstop_low_hz",
+            "filter.bandstop_high_hz",
+            "filter.order",
+            "filter.stages",
+            "segmentation.min_distance",
+            "segmentation.top_k",
+            "segmentation.envelope_lp_hz",
+            "model.kernel_size",
+            "model.num_blocks",
+            "model.residual_channels",
+            "model.skip_channels",
+            "model.context_window",
+            "model.activation",
+            "train.learning_rate",
+            "train.batch_size",
+            "train.crop_length",
+            "train.max_epochs",
+            "train.patience",
+            "train.seed",
+            "train.train_fraction",
+            "train.improvement_tolerance",
+        }
+
+    def test_run_json_bytes_pinned(self, tmp_path):
+        config = tmp_path / "every.ini"
+        config.write_text(EVERY_SECTION_CONFIG)
+        path = tmp_path / "run.json"
+        training.write_run_metadata(path, load_run_config(config).snapshot())
+        assert path.read_text() == EVERY_SECTION_RUN_JSON
+
+    def test_readme_block_is_the_schema_with_defaults(self, tmp_path):
+        section = README.read_text().split("## Configuration\n", 1)[1]
+        block = section.split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.ini"
+        path.write_text(block)
+        assert load_run_config(path).snapshot() == RunConfig().snapshot()
+        parser = configparser.ConfigParser()
+        parser.read_string(block)
+        named = {f"{name}.{key}" for name in parser.sections() for key in parser[name]}
+        assert named == set(RunConfig().snapshot())
 
     def test_cli_reads_config_from_environment(self, tmp_path, monkeypatch, capsys):
         bad = tmp_path / "bad.ini"

@@ -338,6 +338,66 @@ class TestCheckpoint:
             M.load_weights(path)
 
 
+    def test_header_bytes_pinned(self, tmp_path):
+        config = M.ModelConfig(
+            kernel_size=2,
+            num_blocks=2,
+            residual_channels=5,
+            skip_channels=4,
+            context_window=3,
+            activation="relu",
+        )
+        path = tmp_path / "model.ckpt"
+        M.save_weights(M.init_weights(config, seed=0), path)
+        header = (
+            "format_version=1\n"
+            "config.kernel_size=2\n"
+            "config.num_blocks=2\n"
+            "config.residual_channels=5\n"
+            "config.skip_channels=4\n"
+            "config.context_window=3\n"
+            "config.in_channels=6\n"
+            "config.out_channels=1\n"
+            "config.activation=relu\n"
+            "param input_offset 6\n"
+            "param input_scale 6\n"
+            "param input_proj.weights 5 6 1\n"
+            "param input_proj.bias 5\n"
+            "param block0.dilated.weights 5 5 2\n"
+            "param block0.dilated.bias 5\n"
+            "param block0.residual.weights 5 5 1\n"
+            "param block0.residual.bias 5\n"
+            "param block0.skip.weights 4 5 1\n"
+            "param block0.skip.bias 4\n"
+            "param block1.dilated.weights 5 5 2\n"
+            "param block1.dilated.bias 5\n"
+            "param block1.residual.weights 5 5 1\n"
+            "param block1.residual.bias 5\n"
+            "param block1.skip.weights 4 5 1\n"
+            "param block1.skip.bias 4\n"
+            "param context.weights 4 4 3\n"
+            "param context.bias 4\n"
+            "param output_proj.weights 1 4 1\n"
+            "param output_proj.bias 1\n"
+        ).encode()
+        expected = b"EFWNET01" + struct.pack("<I", 770) + header
+        assert path.read_bytes()[: len(expected)] == expected
+        assert M.load_weights(path).config == config
+
+    @pytest.mark.parametrize(
+        "old, new, match",
+        [
+            (b"config.kernel_size=2", b"config.kernel_sise=2", "unrecognized header line"),
+            (b"config.num_blocks=2", b"config.num_blocks=x", "bad value"),
+        ],
+    )
+    def test_bad_config_header_line_rejected(self, tmp_path, old, new, match):
+        path = tmp_path / "model.ckpt"
+        M.save_weights(M.init_weights(TINY, seed=29), path)
+        path.write_bytes(path.read_bytes().replace(old, new, 1))
+        with pytest.raises(CheckpointError, match=match):
+            M.load_weights(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         w = M.init_weights(TINY, seed=27)
         path = tmp_path / "model.ckpt"

@@ -341,6 +341,9 @@ class TestTrainConfigValidation:
             ("batch_size", 0),
             ("crop_length", 0),
             ("crop_length", -5),
+            ("improvement_tolerance", float("nan")),
+            ("improvement_tolerance", float("inf")),
+            ("improvement_tolerance", -1e-6),
         ],
     )
     def test_rejected(self, field, value):
