@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, metrics, synthgen, train as training
-from .config import RunConfig, load_run_config
+from .config import RunConfig, load_run_config, segmenting_config
 from .errors import DivergenceError, NoActivityError, PipelineError
 from .model import (
     StreamState,
@@ -169,8 +169,9 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args.config)
-    expected = cfg.model if args.config or os.environ.get(CONFIG_ENV_VAR) else None
-    weights = load_weights(args.ckpt, expected_config=expected)
+    explicit = bool(args.config or os.environ.get(CONFIG_ENV_VAR))
+    cfg = segmenting_config(cfg, Path(args.ckpt).with_suffix(".run.json"), explicit)
+    weights = load_weights(args.ckpt, expected_config=cfg.model if explicit else None)
     data_dir = Path(args.data)
     if not data_dir.is_dir():
         print(f"error: data directory not found: {data_dir}", file=sys.stderr)

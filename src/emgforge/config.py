@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -105,14 +106,55 @@ def load_run_config(path) -> RunConfig:
         for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}] of {path}")
-            caster = _SCHEMA[section][key]
-            try:
-                values[f"{section}.{key}"] = caster(raw)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"bad value {raw!r} for [{section}] {key} (expected {caster.__name__})"
-                ) from exc
+            values[f"{section}.{key}"] = _cast(section, key, raw, path)
     return _replace_from_keys(RunConfig(), values, "data.")
+
+
+def _cast(section: str, key: str, raw, source):
+    caster = _SCHEMA[section][key]
+    try:
+        return caster(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"bad value {raw!r} for [{section}] {key} in {source} (expected {caster.__name__})"
+        ) from exc
+
+
+# The keys that decide how recordings become segments.
+_SEGMENTING_SECTIONS = ("data", "filter", "segmentation")
+
+
+def segmenting_config(cfg: RunConfig, run_json, explicit: bool) -> RunConfig:
+    """The config to segment a trained checkpoint's data with.
+
+    `run_json` is the checkpoint's `<ckpt>.run.json`; without one, `cfg` is
+    returned. Otherwise an implicit `cfg` takes the recorded `[data]`,
+    `[filter]` and `[segmentation]` values, and an `explicit` one (from
+    `--config` or the environment) must agree with each of them, or a
+    ConfigError names the first key that differs.
+    """
+    run_json = Path(run_json)
+    if not run_json.exists():
+        return cfg
+    try:
+        raw = json.loads(run_json.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"cannot parse {run_json}: {exc}") from exc
+    recorded = {}
+    for name, value in raw.items():
+        section, _, key = name.partition(".")
+        if section in _SEGMENTING_SECTIONS and key in _SCHEMA[section]:
+            recorded[name] = _cast(section, key, value, run_json)
+    if not explicit:
+        return _replace_from_keys(cfg, recorded, "data.")
+    current = cfg.snapshot()
+    for name in sorted(recorded):
+        if current[name] != recorded[name]:
+            raise ConfigError(
+                f"{name} = {current[name]!r} in the config disagrees with "
+                f"{recorded[name]!r} in {run_json}, which the checkpoint was trained with"
+            )
+    return cfg
 
 
 def default_run_config() -> RunConfig:

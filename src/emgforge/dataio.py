@@ -1,6 +1,6 @@
 """Recording ingestion, segment assembly, dataset split, and training windows.
 
-Raw recordings are columnar CSV (header row, '#' comment lines ignored),
+Raw recordings are columnar CSV (header row, '#' comment lines dropped),
 one EMG column plus six IMU columns. The EMG channel drives segmentation;
 IMU channels are sliced with the same index ranges, and the result is a
 list of merged segments that can round-trip through a unified segment CSV
@@ -14,6 +14,7 @@ import io
 import itertools
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -130,13 +131,68 @@ def _parse_block(rows: list, indices: dict) -> dict:
         }
 
 
+# Bytes per read when a raw CSV is scanned for its line count.
+_SCAN_BYTES = 1 << 20
+
+
+def _data_lines(path: Path, header_lines: int) -> int | None:
+    """The number of lines after the header, or None when the file holds a
+    quote or a carriage return that does not end a CRLF: csv.reader may then
+    split a line into other fields or lines than a plain split on ',' and
+    '\\n' does."""
+    newlines = 0
+    tail = b""  # the previous chunk's last byte, to see a CRLF split between chunks
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_SCAN_BYTES):
+            if b'"' in chunk:
+                return None
+            octets = np.frombuffer(tail + chunk, dtype=np.uint8)
+            returns = np.flatnonzero(octets[:-1] == ord("\r"))
+            if np.any(octets[returns + 1] != ord("\n")):
+                return None
+            newlines += np.count_nonzero(octets[len(tail) :] == ord("\n"))
+            tail = chunk[-1:]
+    if tail == b"\r":
+        return None
+    return newlines + (tail not in (b"", b"\n")) - header_lines
+
+
+def _parse_in_c(path: Path, indices: dict, header_lines: int) -> dict | None:
+    """The wanted columns parsed in C by np.loadtxt, or None unless they
+    provably equal the block parser's result with no row dropped.
+
+    That holds when loadtxt raises nothing, gives one row per line after the
+    header, and every value is finite. loadtxt skips blank lines, so a blank
+    line shows up in the row count. Column 0 is always parsed, so a comment
+    or whitespace-only line fails the parse. Both parsers convert with the
+    same string-to-double routine.
+    """
+    lines = _data_lines(path, header_lines)
+    if not lines:
+        return None
+    usecols = sorted(set(indices.values()) | {0})
+    try:
+        with warnings.catch_warnings():
+            # Lines that are all blank: the row count below rejects them.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(
+                path, delimiter=",", skiprows=header_lines, usecols=usecols, comments=None, ndmin=2
+            )
+    except ValueError:
+        return None
+    if table.shape[0] != lines or not np.isfinite(table).all():
+        return None
+    return {ch: table[:, usecols.index(idx)].copy() for ch, idx in indices.items()}
+
+
 def _read_columns(path, wanted: dict) -> tuple[dict, list[tuple[int, int]]]:
     """Parse the requested columns, dropping each row in which one of them is
     missing, unparseable or non-finite.
 
-    Returns the columns and the dropped rows as (data row, line) pairs: data
-    rows count from 0 after the header, skipping comment and blank lines;
-    lines count from 1.
+    Returns the columns and the dropped rows as (data row, line) pairs: every
+    line after the header is a data row, counted from 0, and a blank or
+    comment line is a dropped one; lines count from 1. A clean file is parsed
+    in C in one call; any other goes through the block parser.
     """
     path = Path(path)
     with open(path, newline="") as fh:
@@ -165,10 +221,16 @@ def _read_columns(path, wanted: dict) -> tuple[dict, list[tuple[int, int]]]:
                     )
                 indices[channel] = header.index(column)
 
+        columns = _parse_in_c(path, indices, reader.line_num)
+        if columns is not None:
+            return columns, []
+
+        # A blank or comment line is a data row without values, so it is
+        # dropped: skipping it uncounted would shift the file against the
+        # other one in two-file mode.
         data_rows = (
-            (row, reader.line_num)
+            (row if row and not row[0].lstrip().startswith("#") else [], reader.line_num)
             for row in reader
-            if row and not row[0].lstrip().startswith("#")
         )
         parts: dict = {ch: [] for ch in wanted}
         dropped = []
@@ -186,18 +248,19 @@ def _read_columns(path, wanted: dict) -> tuple[dict, list[tuple[int, int]]]:
     return {ch: np.concatenate(v) for ch, v in parts.items()}, dropped
 
 
-def _require_same_drops(emg_path, emg_dropped, imu_path, imu_dropped) -> None:
+def _require_same_drops(emg_path, emg_dropped, imu_path, imu_dropped, rows: int) -> None:
     """Two-file mode: a row dropped from one file only would shift every later
-    sample of that file against the other, so it is an error."""
+    sample of that file against the other, so it is an error. Rows from `rows`
+    on, past the end of the shorter file, are cut off anyway."""
     emg_rows, imu_rows = dict(emg_dropped), dict(imu_dropped)
-    lone = emg_rows.keys() ^ imu_rows.keys()
+    lone = {row for row in emg_rows.keys() ^ imu_rows.keys() if row < rows}
     if lone:
         row = min(lone)
         path, line = (emg_path, emg_rows[row]) if row in emg_rows else (imu_path, imu_rows[row])
         raise SchemaError(
-            f"{path}: data row {row} (line {line}) has a missing, unparseable or "
-            "non-finite value but is kept in the other file; dropping it would "
-            "shift the EMG against the IMU"
+            f"{path}: data row {row} (line {line}) is blank, a comment, or has a missing, "
+            "unparseable or non-finite value but is kept in the other file; dropping it "
+            "would shift the EMG against the IMU"
         )
 
 
@@ -217,9 +280,10 @@ def load_recording(
     `schema` maps canonical channel names (see CHANNELS) to column names or
     zero-based positions. Channels are truncated to the shortest length so
     slightly ragged acquisitions still align; no resampling is performed, so
-    all channels must already share `fs`. A row with a missing, unparseable or
-    non-finite value is dropped; in two-file mode it must then be dropped from
-    both files, or a SchemaError names it.
+    all channels must already share `fs`. A blank or comment line after the
+    header, and a row with a missing, unparseable or non-finite value, is
+    dropped; in two-file mode it must then be dropped from both files, or a
+    SchemaError names it, unless it lies past the end of the shorter file.
 
     The sample rate is the caller's `fs`, else the sidecar's, else 1000 Hz;
     a sidecar `fs` that disagrees with the caller's raises a SchemaError.
@@ -240,7 +304,10 @@ def load_recording(
         imu_columns, imu_dropped = _read_columns(
             imu_path, {ch: schema[ch] for ch in IMU_CHANNELS}
         )
-        _require_same_drops(path, emg_dropped, imu_path, imu_dropped)
+        rows = min(
+            len(columns["emg"]) + len(emg_dropped), len(imu_columns["accel_x"]) + len(imu_dropped)
+        )
+        _require_same_drops(path, emg_dropped, imu_path, imu_dropped, rows)
         columns.update(imu_columns)
 
     shortest = min(len(v) for v in columns.values())

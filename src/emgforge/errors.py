@@ -29,6 +29,10 @@ class DegenerateSignalError(PipelineError):
     """Signal has no usable content (e.g. all-zero envelope)."""
 
 
+class NonFiniteInputError(PipelineError):
+    """Signal holds a NaN or infinite sample where only finite ones are valid."""
+
+
 class DegenerateInputError(PipelineError):
     """Metric input with zero norm."""
 

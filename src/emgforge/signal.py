@@ -10,6 +10,7 @@ peaks and cutting at the midpoints between successive peaks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,6 +23,7 @@ from .errors import (
     InvalidCutoffError,
     InvalidOrderError,
     InvalidPeaksError,
+    NonFiniteInputError,
     ShapeError,
     TooShortError,
 )
@@ -242,39 +244,93 @@ def frequency_response(cascade: BiquadCascade, freqs_hz, fs: float) -> np.ndarra
     return h
 
 
-# Samples per block of the per-sample recurrence: each block is converted to a
-# list once, so the loop runs on Python floats (same IEEE-754 operations as
-# on numpy scalars, about 3x faster) while the extra memory stays bounded.
-_DF2T_BLOCK = 4096
+# Samples per block of the block state-space form. Per block the work is an
+# L x L matmul, and the Python scan runs once per block: 64 keeps both small.
+_BLOCK = 64
 
 
-def _run_df2t(x: np.ndarray, sec: BiquadSection) -> np.ndarray:
-    """Direct Form II transposed, zero initial state."""
-    b0, b1, b2, a1, a2 = (float(c) for c in (sec.b0, sec.b1, sec.b2, sec.a1, sec.a2))
-    y = np.empty_like(x)
-    s1 = 0.0
-    s2 = 0.0
-    for lo in range(0, x.size, _DF2T_BLOCK):
-        block = []
-        for xn in x[lo : lo + _DF2T_BLOCK].tolist():
-            yn = b0 * xn + s1
-            s1 = b1 * xn - a1 * yn + s2
-            s2 = b2 * xn - a2 * yn
-            block.append(yn)
-        y[lo : lo + len(block)] = block
-    return y
+@functools.lru_cache(maxsize=64)
+def _block_matrices(sec: BiquadSection):
+    """The block realization of one section (Burrus, 1972), as read-only arrays.
+
+    In state-space form the section is s[n+1] = A s[n] + B x[n] and
+    y[n] = C s[n] + D x[n], with the two Direct Form II transposed states in
+    s. For a block x of L samples starting in state s:
+
+        y  = T x + P s       T[i, j] = h[i - j], the impulse response
+        s' = A^L s + G x     G[:, j] = A^(L-1-j) B
+
+    Returns (T, G, P, A^L) with shapes (L, L), (2, L), (L, 2), (2, 2).
+
+    The entries are computed exactly and rounded to float once: with float
+    matrix powers the block recurrence amplified their rounding errors, and
+    the output error against long-double arithmetic was 2.5-7x larger (7x on
+    the 48-52 Hz notch). Every coefficient is a dyadic rational, so with `d`
+    a common power-of-two denominator the scaled A * d and its powers are
+    integer matrices, and int / int rounds correctly.
+    """
+    ratios = [float(c).as_integer_ratio() for c in (sec.b0, sec.b1, sec.b2, sec.a1, sec.a2)]
+    d = max(den for _, den in ratios)
+    b0, b1, b2, a1, a2 = (num * (d // den) for num, den in ratios)
+    b = (b1 * d - a1 * b0, b2 * d - a2 * b0)  # B * d^2
+    powers = [((1, 0), (0, 1))]  # A^i * d^i for i = 0 .. L
+    for _ in range(_BLOCK):
+        (m11, m12), (m21, m22) = powers[-1]
+        powers.append(((d * m21 - a1 * m11, d * m22 - a1 * m12), (-a2 * m11, -a2 * m12)))
+
+    def times_b(i):  # A^i B, rounded
+        (m11, m12), (m21, m22) = powers[i]
+        scale = d ** (i + 2)
+        return ((m11 * b[0] + m12 * b[1]) / scale, (m21 * b[0] + m22 * b[1]) / scale)
+
+    p = np.array([[m / d**i for m in powers[i][0]] for i in range(_BLOCK)])  # row i: C A^i
+    h = np.array([b0 / d] + [times_b(i)[0] for i in range(_BLOCK - 1)])  # D, then C A^(m-1) B
+    lags = np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK))
+    t = np.where(lags >= 0, h[np.maximum(lags, 0)], 0.0)
+    g = np.array([times_b(_BLOCK - 1 - j) for j in range(_BLOCK)]).T
+    a_l = np.array([[m / d**_BLOCK for m in row] for row in powers[_BLOCK]])
+    out = (t, g, p, a_l)
+    for m in out:
+        m.setflags(write=False)
+    return out
+
+
+def _run_section(x: np.ndarray, sec: BiquadSection) -> np.ndarray:
+    """One section over `x`, zero initial state, in blocks of `_BLOCK` samples.
+
+    Each block's output is T x plus the carried state's contribution P s; the
+    block states come from a scan s <- A^L s + G x over the blocks, on Python
+    floats.
+    """
+    t, g, p, a_l = _block_matrices(sec)
+    n = x.size
+    blocks = np.zeros((-(-n // _BLOCK), _BLOCK))
+    blocks.flat[:n] = x
+    y = blocks @ t.T
+    (a11, a12), (a21, a22) = a_l.tolist()
+    s1 = s2 = 0.0
+    states = []
+    for u1, u2 in (blocks @ g.T).tolist():
+        states.append((s1, s2))
+        s1, s2 = a11 * s1 + a12 * s2 + u1, a21 * s1 + a22 * s2 + u2
+    y += np.array(states) @ p.T
+    return y.ravel()[:n]
 
 
 def apply_filter(signal: SampledSignal, cascade: BiquadCascade) -> SampledSignal:
     """Run the cascade over the signal in one forward causal pass.
 
     Output length equals input length; each section starts from zero state.
+    Every sample must be finite: in the block form a NaN or inf would also
+    reach the earlier outputs of its block.
     """
     if len(signal) == 0:
         raise EmptyInputError("cannot filter an empty signal")
-    y = np.array(signal.samples, dtype=np.float64)
+    y = signal.samples
+    if not np.isfinite(y).all():
+        raise NonFiniteInputError("cannot filter a signal with NaN or infinite samples")
     for sec in cascade.sections:
-        y = _run_df2t(y, sec)
+        y = _run_section(y, sec)
     return SampledSignal(y, signal.fs)
 
 

@@ -398,6 +398,39 @@ class TestTrainEvalBench:
         )
         assert rc == cli.EXIT_USAGE
 
+    def test_eval_segments_with_the_checkpoints_filter_chain(
+        self, data_dir, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+        trained = tmp_path / "bandpass.ini"
+        trained.write_text(TINY_CONFIG + "\n[filter]\nstages = bandpass, bandstop\norder = 2\n")
+        ckpt = tmp_path / "m.ckpt"
+        argv = ["train", "--data", str(data_dir), "--out", str(ckpt), "--config", str(trained)]
+        assert cli.main(argv) == 0
+
+        def run_eval(name, *config):
+            report = tmp_path / name / "report.csv"
+            argv = ["eval", "--data", str(data_dir), "--ckpt", str(ckpt), "--report", str(report)]
+            return cli.main(argv + list(config)), report
+
+        rc, implicit = run_eval("implicit")
+        assert rc == 0
+        rc, explicit = run_eval("explicit", "--config", str(trained))
+        assert rc == 0
+        assert implicit.read_bytes() == explicit.read_bytes()
+        ckpt.with_suffix(".run.json").rename(tmp_path / "moved.run.json")
+        rc, default_chain = run_eval("default")
+        assert rc == 0
+        assert default_chain.read_bytes() != implicit.read_bytes()
+
+        (tmp_path / "moved.run.json").rename(ckpt.with_suffix(".run.json"))
+        other = tmp_path / "other.ini"
+        other.write_text(TINY_CONFIG + "\n[filter]\nstages = bandpass, bandstop\norder = 3\n")
+        capsys.readouterr()
+        rc, _ = run_eval("other", "--config", str(other))
+        assert rc == cli.EXIT_USAGE
+        assert "filter.order = 3" in capsys.readouterr().err
+
     def test_stream_bench_ok(self, run_dir, capsys):
         rc = cli.main(
             ["stream-bench", "--ckpt", str(run_dir / "model.ckpt"), "--seconds", "0.3"]

@@ -140,9 +140,53 @@ class TestLoadRecording:
         assert rec.accel_x.samples.tolist() == [0, 1, 2, 4, 5, 6]
 
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        n_emg=st.integers(1, 30),
+        n_imu=st.integers(1, 30),
+        bad=st.sampled_from(["nan", "-inf", "", "abc"]),
+    )
+    def test_separate_files_align_or_name_the_lone_row(
+        self, tmp_path_factory, data, n_emg, n_imu, bad
+    ):
+        """Either the rows both files keep, aligned, or a SchemaError naming
+        the first row dropped from one file only."""
+        emg_bad = data.draw(st.sets(st.integers(0, n_emg - 1)))
+        imu_bad = data.draw(st.sets(st.integers(0, n_imu - 1)))
+        tmp = tmp_path_factory.getbasetemp()
+        emg_path, imu_path = tmp / "emg.csv", tmp / "imu.csv"
+        write_csv(emg_path, ["emg"], [[bad if t in emg_bad else t] for t in range(n_emg)])
+        imu_rows = [[10 * t + c for c in range(6)] for t in range(n_imu)]
+        for t in imu_bad:
+            imu_rows[t][data.draw(st.integers(0, 5))] = bad
+        write_csv(imu_path, ["ax", "ay", "az", "gx", "gy", "gz"], imu_rows)
+
+        emg_kept = [t for t in range(n_emg) if t not in emg_bad]
+        imu_kept = [t for t in range(n_imu) if t not in imu_bad]
+        if not emg_kept or not imu_kept:
+            with pytest.raises(EmptyFileError):
+                dataio.load_recording(emg_path, imu_path=imu_path)
+            return
+        # A drop past the end of the shorter file shifts nothing.
+        lone = {t for t in emg_bad ^ imu_bad if t < min(n_emg, n_imu)}
+        if lone:
+            row = min(lone)
+            path = emg_path if row in emg_bad else imu_path
+            with pytest.raises(SchemaError, match=rf"{path.name}: data row {row} \(line {row + 2}\)"):
+                dataio.load_recording(emg_path, imu_path=imu_path)
+            return
+        n = min(len(emg_kept), len(imu_kept))
+        rec = dataio.load_recording(emg_path, imu_path=imu_path)
+        assert rec.emg.samples.tolist() == emg_kept[:n]
+        for c, ch in enumerate(dataio.IMU_CHANNELS):
+            assert getattr(rec, ch).samples.tolist() == [10 * t + c for t in imu_kept[:n]]
+
+
 def reference_read_columns(path, wanted):
-    """Row by row: a data row is kept when every wanted value parses with
-    float() and is finite. Returns the columns and (data row, line) drops."""
+    """Row by row: every line after the header is a data row, kept when it is
+    neither blank nor a comment and every wanted value parses with float() and
+    is finite. Returns the columns and (data row, line) drops."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for row in reader:
@@ -154,9 +198,9 @@ def reference_read_columns(path, wanted):
         dropped = []
         n = 0
         for row in reader:
-            if not row or row[0].lstrip().startswith("#"):
-                continue
             try:
+                if not row or row[0].lstrip().startswith("#"):
+                    raise ValueError("blank or comment line")
                 parsed = {ch: float(row[i]) for ch, i in indices.items()}
             except (IndexError, ValueError):
                 parsed = None
@@ -189,13 +233,41 @@ _csv_line = st.one_of(
 )
 
 
+# Files the C parser may take: finite values as repr or "%.17g", LF or CRLF
+# endings, with or without a final one. Now and then a blank,
+# whitespace-only or comment line, or a CR ending, sends the file to the
+# block parser.
+_clean_value = st.floats(allow_nan=False, allow_infinity=False, width=64).flatmap(
+    lambda v: st.sampled_from([repr(v), "%.17g" % v])
+)
+_clean_row = st.lists(_clean_value, min_size=7, max_size=7).map(",".join)
+_clean_line = st.one_of(  # three rows to one other line
+    _clean_row,
+    _clean_row,
+    _clean_row,
+    st.sampled_from(["", "   ", "\t", "# note", "  # indented", "#,1,2,3,4,5,6"]),
+)
+_eol = st.sampled_from(["\n", "\r\n", "\r"])
+_clean_file = st.one_of(
+    st.builds(
+        lambda lines, eol, final: eol.join([",".join(_HEADER), *lines]) + (eol if final else ""),
+        st.lists(_clean_line, min_size=1, max_size=30),
+        _eol,
+        st.booleans(),
+    ),
+    # Mixed endings: a lone CR and a skipped line can leave the line count right.
+    st.lists(st.tuples(_clean_line, _eol), min_size=1, max_size=30).map(
+        lambda lines: ",".join(_HEADER) + "\n" + "".join(line + eol for line, eol in lines)
+    ),
+)
+_WANTED = [dict(zip(dataio.CHANNELS, _HEADER)), {"emg": "emg"}, {"accel_x": "ax", "gyro_z": "gz"}]
+
+
 class TestColumnarCsv:
     @settings(max_examples=150, deadline=None)
     @given(
         lines=st.lists(_csv_line, max_size=40),
-        wanted=st.sampled_from(
-            [dict(zip(dataio.CHANNELS, _HEADER)), {"emg": "emg"}, {"accel_x": "ax", "gyro_z": "gz"}]
-        ),
+        wanted=st.sampled_from(_WANTED),
         block=st.sampled_from([1, 3, 4096]),
     )
     def test_matches_row_by_row_reference(self, tmp_path_factory, lines, wanted, block):
@@ -212,6 +284,69 @@ class TestColumnarCsv:
         for ch, v in values.items():
             assert columns[ch].dtype == np.float64
             assert columns[ch].tobytes() == np.array(v, dtype=np.float64).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        text=_clean_file,
+        wanted=st.sampled_from(_WANTED),
+        scan_bytes=st.sampled_from([1, 2, 7, 1 << 20]),
+    )
+    def test_clean_files_match_reference_on_both_parsers(
+        self, tmp_path_factory, text, wanted, scan_bytes
+    ):
+        path = tmp_path_factory.getbasetemp() / "clean.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        values, dropped = reference_read_columns(path, wanted)
+        for parser in ("c", "block"):
+            with mock.patch.object(
+                dataio, "_parse_in_c", dataio._parse_in_c if parser == "c" else lambda *a: None
+            ), mock.patch.object(dataio, "_SCAN_BYTES", scan_bytes):
+                if not next(iter(values.values())):
+                    with pytest.raises(EmptyFileError):
+                        dataio._read_columns(path, wanted)
+                    continue
+                columns, got_dropped = dataio._read_columns(path, wanted)
+            assert got_dropped == dropped, parser
+            for ch, v in values.items():
+                assert columns[ch].tobytes() == np.array(v, dtype=np.float64).tobytes(), parser
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            # A comment line whose wanted fields parse as numbers.
+            "#,1,2,3,4,5,6\n0,1,2,3,4,5,6\n",
+            # A lone CR adds a line that a blank line takes away again.
+            "0,1,2,3,4,5,6\r7,8,9,10,11,12,13\n\n",
+        ],
+    )
+    def test_lines_a_plain_split_reads_otherwise_go_to_the_block_parser(self, tmp_path, body):
+        path = tmp_path / "mixed.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(_HEADER) + "\n" + body)
+        wanted = {"accel_x": "ax", "gyro_z": "gz"}
+        values, dropped = reference_read_columns(path, wanted)
+        columns, got_dropped = dataio._read_columns(path, wanted)
+        assert got_dropped == dropped != []
+        assert {ch: v.tolist() for ch, v in columns.items()} == values
+
+    def test_quoted_comma_in_an_unused_column_splits_as_csv(self, tmp_path):
+        # A plain split on "," would read gz as 6.0 here.
+        path = tmp_path / "quoted.csv"
+        path.write_text(",".join(_HEADER) + '\n0,1,"2,3",4,5,6,7\n')
+        columns, dropped = dataio._read_columns(path, {"accel_x": "ax", "gyro_z": "gz"})
+        assert dropped == []
+        assert columns["accel_x"].tolist() == [1.0] and columns["gyro_z"].tolist() == [7.0]
+
+    def test_synthetic_recording_takes_the_c_parser(self, tmp_path):
+        rec, _ = synthgen.generate_recording(synthgen.MotionProfile(n_reps=2), seed=3)
+        path = tmp_path / "raw.csv"
+        dataio.write_raw_recording(rec, path)
+        with mock.patch.object(dataio, "_parse_block", side_effect=AssertionError("block parser ran")):
+            columns, dropped = dataio._read_columns(path, dataio.DEFAULT_SCHEMA)
+        assert dropped == []
+        for ch in dataio.CHANNELS:
+            assert columns[ch].tobytes() == getattr(rec, ch).samples.tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(
