@@ -192,9 +192,17 @@ def _read_columns(path, wanted: dict) -> tuple[dict, list[tuple[int, int]]]:
     Returns the columns and the dropped rows as (data row, line) pairs: every
     line after the header is a data row, counted from 0, and a blank or
     comment line is a dropped one; lines count from 1. A clean file is parsed
-    in C in one call; any other goes through the block parser.
+    in C in one call; any other goes through the block parser. A file that
+    does not decode as text raises a SchemaError.
     """
     path = Path(path)
+    try:
+        return _parse_columns(path, wanted)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not {exc.encoding} text: {exc.reason}") from exc
+
+
+def _parse_columns(path: Path, wanted: dict) -> tuple[dict, list[tuple[int, int]]]:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = None

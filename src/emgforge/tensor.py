@@ -6,16 +6,18 @@ relu activations, elementwise arithmetic, full reductions, and an Adam
 step. Everything is float64 numpy with a fixed reduction order, so a given
 input always produces bit-identical results.
 
-Ops executed while gradients are enabled are recorded on a Tape; backward()
-replays the records in exact reverse execution order, accumulating
-gradients additively into every tensor and kernel that requires them, and
-drops each record once it has run. Whether ops record is a per-context
-setting, so no_grad() in one thread never stops recording in another.
+An op run while gradients are enabled records its inputs, its backward
+function and a creation number on its output. backward(loss) runs the ops
+reachable from the loss newest first, accumulating gradients into every
+tensor and kernel that requires them, and frees each op once it has run, so
+a graph is backpropagated once. Recording is a per-context setting:
+no_grad() in one thread never stops recording in another.
 """
 
 from __future__ import annotations
 
 import contextvars
+import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -24,15 +26,12 @@ import numpy as np
 
 from .errors import DivergenceError, ShapeError
 
-# Toggle to validate that every forward op produces finite values.
-debug_nan_checks = False
-
 _grad_enabled = contextvars.ContextVar("emgforge_grad_enabled", default=True)
 
 
 @contextmanager
 def no_grad():
-    """Disable tape recording inside the block (inference / validation).
+    """Disable op recording inside the block (inference / validation).
 
     The setting belongs to the current thread's context; work handed to
     other threads sees it only if it runs in a copy of this context.
@@ -44,63 +43,21 @@ def no_grad():
         _grad_enabled.reset(token)
 
 
-class Tape:
-    """Ordered record of executed ops; backward walks it back to front.
+# Creation numbers of recorded ops: every op is numbered after its inputs.
+# Threads share it; only the order within one graph matters.
+_creation = itertools.count()
 
-    Two tapes can meet when independent op chains started from the same
-    leaves are combined; they are then merged union-find style, appending
-    one record list to the other. The chains have no cross-dependencies
-    before the merge point, so concatenation keeps every record after its
-    producers and reverse traversal stays a valid backpropagation order.
-    """
-
-    __slots__ = ("_records", "_parent")
-
-    def __init__(self):
-        self._records = []
-        self._parent = None
-
-    def _root(self) -> "Tape":
-        tape = self
-        while tape._parent is not None:
-            tape = tape._parent
-        if tape is not self:
-            self._parent = tape
-        return tape
-
-    def record(self, fn) -> None:
-        self._root()._records.append(fn)
-
-    def merge(self, other: "Tape") -> "Tape":
-        a = self._root()
-        b = other._root()
-        if a is not b:
-            a._records.extend(b._records)
-            b._records = []
-            b._parent = a
-        return a
-
-    def __len__(self) -> int:
-        return len(self._root()._records)
-
-    def run_backward(self) -> None:
-        """Run the records newest first, dropping each as it runs.
-
-        A record's closure holds its output Tensor, whose `.tape` holds the
-        record: popping it breaks that cycle, so each op's activations are
-        freed as soon as its backward step is done. The tape is empty after.
-        """
-        records = self._root()._records
-        while records:
-            records.pop()()
+# The backward function of a recorded op that has already run.
+_SPENT = object()
 
 
 class Tensor:
-    """[channels x time] float64 array with an optional gradient."""
+    """[channels x time] float64 array with an optional gradient. A recorded
+    op's output also holds its inputs, backward function and creation number."""
 
-    __slots__ = ("data", "grad", "requires_grad", "tape", "__weakref__")
+    __slots__ = ("data", "grad", "requires_grad", "_inputs", "_backward", "_order", "__weakref__")
 
-    def __init__(self, data, requires_grad: bool = False, tape: Tape | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim == 0:
             arr = arr.reshape(1, 1)
@@ -113,7 +70,9 @@ class Tensor:
         self.data = arr
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self.tape = tape
+        self._inputs = ()
+        self._backward = None
+        self._order = -1
 
     @property
     def shape(self):
@@ -137,7 +96,6 @@ class ConvKernel:
     weights: np.ndarray
     bias: np.ndarray
     dilation: int = 1
-    requires_grad: bool = True
     grad_weights: np.ndarray | None = field(default=None, repr=False)
     grad_bias: np.ndarray | None = field(default=None, repr=False)
 
@@ -156,10 +114,6 @@ class ConvKernel:
             raise ShapeError(f"dilation must be >= 1, got {self.dilation}")
 
     @property
-    def out_channels(self) -> int:
-        return self.weights.shape[0]
-
-    @property
     def in_channels(self) -> int:
         return self.weights.shape[1]
 
@@ -172,11 +126,11 @@ class ConvKernel:
         self.grad_bias = None
 
     def copy(self) -> "ConvKernel":
-        return ConvKernel(self.weights.copy(), self.bias.copy(), self.dilation, self.requires_grad)
+        return ConvKernel(self.weights.copy(), self.bias.copy(), self.dilation)
 
     def shared(self) -> "ConvKernel":
         """A kernel on the same weight and bias arrays with its own gradients."""
-        return ConvKernel(self.weights, self.bias, self.dilation, self.requires_grad)
+        return ConvKernel(self.weights, self.bias, self.dilation)
 
 
 def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
@@ -185,26 +139,16 @@ def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
     tensor.grad += grad
 
 
-def _join_tapes(*tensors: Tensor) -> Tape | None:
-    tape = None
-    for t in tensors:
-        if t.tape is not None:
-            tape = t.tape if tape is None else tape.merge(t.tape)
-    return tape
-
-
-def _result(data, inputs: tuple[Tensor, ...], requires: bool, make_backward) -> Tensor:
-    if debug_nan_checks and not np.all(np.isfinite(data)):
-        raise DivergenceError("non-finite values produced by a forward op")
+def _result(data, inputs: tuple[Tensor, ...], backward, requires: bool = False) -> Tensor:
+    """The op's output, recorded with `backward(out)` when it needs a gradient."""
     if not _grad_enabled.get():
         return Tensor(data)
     requires = requires or any(t.requires_grad for t in inputs)
-    tape = _join_tapes(*inputs)
-    if requires and tape is None:
-        tape = Tape()
-    out = Tensor(data, requires_grad=requires, tape=tape)
+    out = Tensor(data, requires_grad=requires)
     if requires:
-        tape.record(make_backward(out))
+        out._inputs = inputs
+        out._backward = backward
+        out._order = next(_creation)
     return out
 
 
@@ -216,95 +160,65 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "add")
 
-    def make_backward(out):
-        def backward():
-            if out.grad is None:
-                return
-            if a.requires_grad:
-                _accumulate(a, out.grad)
-            if b.requires_grad:
-                _accumulate(b, out.grad)
+    def backward(out):
+        if a.requires_grad:
+            _accumulate(a, out.grad)
+        if b.requires_grad:
+            _accumulate(b, out.grad)
 
-        return backward
-
-    return _result(a.data + b.data, (a, b), False, make_backward)
+    return _result(a.data + b.data, (a, b), backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "sub")
 
-    def make_backward(out):
-        def backward():
-            if out.grad is None:
-                return
-            if a.requires_grad:
-                _accumulate(a, out.grad)
-            if b.requires_grad:
-                _accumulate(b, -out.grad)
+    def backward(out):
+        if a.requires_grad:
+            _accumulate(a, out.grad)
+        if b.requires_grad:
+            _accumulate(b, -out.grad)
 
-        return backward
-
-    return _result(a.data - b.data, (a, b), False, make_backward)
+    return _result(a.data - b.data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "mul")
 
-    def make_backward(out):
-        def backward():
-            if out.grad is None:
-                return
-            if a.requires_grad:
-                _accumulate(a, out.grad * b.data)
-            if b.requires_grad:
-                _accumulate(b, out.grad * a.data)
+    def backward(out):
+        if a.requires_grad:
+            _accumulate(a, out.grad * b.data)
+        if b.requires_grad:
+            _accumulate(b, out.grad * a.data)
 
-        return backward
-
-    return _result(a.data * b.data, (a, b), False, make_backward)
+    return _result(a.data * b.data, (a, b), backward)
 
 
 def sum_all(x: Tensor) -> Tensor:
-    def make_backward(out):
-        def backward():
-            if out.grad is None:
-                return
-            if x.requires_grad:
-                _accumulate(x, np.full_like(x.data, float(out.grad[0, 0])))
+    def backward(out):
+        if x.requires_grad:
+            _accumulate(x, np.full_like(x.data, float(out.grad[0, 0])))
 
-        return backward
-
-    return _result(np.sum(x.data).reshape(1, 1), (x,), False, make_backward)
+    return _result(np.sum(x.data).reshape(1, 1), (x,), backward)
 
 
 def mean_all(x: Tensor) -> Tensor:
     inv = 1.0 / x.data.size
 
-    def make_backward(out):
-        def backward():
-            if out.grad is None:
-                return
-            if x.requires_grad:
-                _accumulate(x, np.full_like(x.data, float(out.grad[0, 0]) * inv))
+    def backward(out):
+        if x.requires_grad:
+            _accumulate(x, np.full_like(x.data, float(out.grad[0, 0]) * inv))
 
-        return backward
-
-    return _result(np.mean(x.data).reshape(1, 1), (x,), False, make_backward)
+    return _result(np.mean(x.data).reshape(1, 1), (x,), backward)
 
 
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0.0
 
-    def make_backward(out):
-        def backward():
-            if out.grad is None:
-                return
-            if x.requires_grad:
-                _accumulate(x, out.grad * mask)
+    def backward(out):
+        if x.requires_grad:
+            _accumulate(x, out.grad * mask)
 
-        return backward
-
-    return _result(np.where(mask, x.data, 0.0), (x,), False, make_backward)
+    return _result(np.where(mask, x.data, 0.0), (x,), backward)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -332,20 +246,15 @@ def gated_activation(x: Tensor) -> Tensor:
     th = np.tanh(x.data[:half])
     sg = _sigmoid(x.data[half:])
 
-    def make_backward(out):
-        def backward():
-            if out.grad is None:
-                return
-            if x.requires_grad:
-                g = out.grad
-                grad = np.empty_like(x.data)
-                grad[:half] = g * sg * (1.0 - th * th)
-                grad[half:] = g * th * sg * (1.0 - sg)
-                _accumulate(x, grad)
+    def backward(out):
+        if x.requires_grad:
+            g = out.grad
+            grad = np.empty_like(x.data)
+            grad[:half] = g * sg * (1.0 - th * th)
+            grad[half:] = g * th * sg * (1.0 - sg)
+            _accumulate(x, grad)
 
-        return backward
-
-    return _result(th * sg, (x,), False, make_backward)
+    return _result(th * sg, (x,), backward)
 
 
 def scale_channels(x: Tensor, offset: np.ndarray, scale: np.ndarray) -> Tensor:
@@ -355,16 +264,11 @@ def scale_channels(x: Tensor, offset: np.ndarray, scale: np.ndarray) -> Tensor:
     if offset.shape[0] != x.data.shape[0] or scale.shape[0] != x.data.shape[0]:
         raise ShapeError("offset/scale length must match the channel count")
 
-    def make_backward(out):
-        def backward():
-            if out.grad is None:
-                return
-            if x.requires_grad:
-                _accumulate(x, out.grad * scale)
+    def backward(out):
+        if x.requires_grad:
+            _accumulate(x, out.grad * scale)
 
-        return backward
-
-    return _result((x.data - offset) * scale, (x,), False, make_backward)
+    return _result((x.data - offset) * scale, (x,), backward)
 
 
 def conv1d_causal(x: Tensor, kernel: ConvKernel) -> Tensor:
@@ -391,42 +295,57 @@ def conv1d_causal(x: Tensor, kernel: ConvKernel) -> Tensor:
     for j in range(1, k):
         out_data += kernel.weights[:, :, j] @ xp[:, j * d : j * d + t_len]
 
-    def make_backward(out):
-        def backward():
-            if out.grad is None:
-                return
-            g = out.grad
-            if kernel.requires_grad:
-                if kernel.grad_weights is None:
-                    kernel.grad_weights = np.zeros_like(kernel.weights)
-                    kernel.grad_bias = np.zeros_like(kernel.bias)
-                for j in range(k):
-                    kernel.grad_weights[:, :, j] += g @ xp[:, j * d : j * d + t_len].T
-                kernel.grad_bias += g.sum(axis=1)
-            if x.requires_grad and not pad:
-                _accumulate(x, kernel.weights[:, :, 0].T @ g)
-            elif x.requires_grad:
-                gxp = np.zeros_like(xp)
-                for j in range(k):
-                    gxp[:, j * d : j * d + t_len] += kernel.weights[:, :, j].T @ g
-                _accumulate(x, gxp[:, pad:])
+    def backward(out):
+        g = out.grad
+        if kernel.grad_weights is None:
+            kernel.grad_weights = np.zeros_like(kernel.weights)
+            kernel.grad_bias = np.zeros_like(kernel.bias)
+        for j in range(k):
+            kernel.grad_weights[:, :, j] += g @ xp[:, j * d : j * d + t_len].T
+        kernel.grad_bias += g.sum(axis=1)
+        if x.requires_grad and not pad:
+            _accumulate(x, kernel.weights[:, :, 0].T @ g)
+        elif x.requires_grad:
+            gxp = np.zeros_like(xp)
+            for j in range(k):
+                gxp[:, j * d : j * d + t_len] += kernel.weights[:, :, j].T @ g
+            _accumulate(x, gxp[:, pad:])
 
-        return backward
-
-    return _result(out_data, (x,), kernel.requires_grad, make_backward)
+    return _result(out_data, (x,), backward, requires=True)
 
 
 def backward(loss: Tensor) -> None:
-    """Backpropagate from a scalar loss through its tape."""
+    """Backpropagate from a scalar loss through the ops reachable from it.
+
+    Ops run newest first, so each has its whole gradient when it runs, and
+    are marked spent as they go, which frees their activations. Reaching a
+    spent op, from this loss or another sharing its graph, raises before any
+    gradient changes.
+    """
     if loss.data.shape != (1, 1):
         raise ShapeError(f"backward needs a scalar (1, 1) tensor, got {loss.data.shape}")
-    if loss.tape is None or len(loss.tape) == 0:
-        raise ShapeError(
-            "loss has no recorded ops to backpropagate through "
-            "(backward runs once per recorded graph)"
-        )
+    ops = []
+    seen = {id(loss)}
+    stack = [loss]
+    while stack:
+        node = stack.pop()
+        if node._backward is _SPENT:
+            raise ShapeError("backward already ran through an op of this graph")
+        if node._backward is not None:
+            ops.append(node)
+            for t in node._inputs:
+                if id(t) not in seen:
+                    seen.add(id(t))
+                    stack.append(t)
+    if not ops:
+        raise ShapeError("loss has no recorded ops to backpropagate through")
+    ops.sort(key=lambda op: op._order)
     loss.grad = np.ones((1, 1), dtype=np.float64)
-    loss.tape.run_backward()
+    while ops:
+        op = ops.pop()
+        op._backward(op)
+        op._backward = _SPENT
+        op._inputs = ()
 
 
 @dataclass

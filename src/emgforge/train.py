@@ -191,8 +191,7 @@ def _pool_map(pool: ThreadPoolExecutor | None, fn, arg_lists) -> list:
 
 
 def _segment_loss(weights: ModelWeights, seg: MergedSegment) -> float:
-    pred = forward(weights, Tensor(seg.imu)).data[0]
-    return float(np.mean((pred - seg.target) ** 2))
+    return metrics.mse(forward(weights, Tensor(seg.imu)).data[0], seg.target)
 
 
 def validation_loss(

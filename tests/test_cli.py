@@ -193,6 +193,25 @@ class TestPreprocess:
         assert rc == cli.EXIT_USAGE
         assert "gyro_z" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"emg,ax,ay,az,gx,gy,gz,\xff\xfe\n1,2,3,4,5,6,7,x\n",
+            # Far past the first read buffer: the header decodes, a data row does not.
+            b"emg,ax,ay,az,gx,gy,gz,note\n"
+            + b"".join(b"%d,1,2,3,4,5,6,x\n" % i for i in range(3000))
+            + b"1,1,2,3,4,5,6,\xff\xfe\n",
+        ],
+        ids=["header", "data_row"],
+    )
+    def test_undecodable_csv_exit_code(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(content)
+        rc = cli.main(["preprocess", "--in", str(bad), "--out", str(tmp_path / "o.csv")])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(bad) in err and "Traceback" not in err
+
     def test_flat_recording_exit_code(self, tmp_path):
         flat = tmp_path / "flat.csv"
         rows = "\n".join("0,0,0,0,0,0,0" for _ in range(2000))

@@ -15,6 +15,7 @@ from emgforge.tensor import (
     AdamState,
     ConvKernel,
     Tensor,
+    add,
     adam_step,
     backward,
     conv1d_causal,
@@ -202,7 +203,7 @@ class TestBackward:
         with pytest.raises(ShapeError):
             backward(y)
 
-    def test_empty_tape_rejected(self):
+    def test_loss_without_recorded_ops_rejected(self):
         x = Tensor([[1.0]], requires_grad=True)
         with pytest.raises(ShapeError):
             backward(x)
@@ -227,7 +228,7 @@ class TestBackward:
             backward(loss)
         assert np.array_equal(x.grad, first)
 
-    def test_tape_released_during_backward(self):
+    def test_graph_released_during_backward(self):
         # Without the cyclic GC only reference counting can free the graph,
         # so a dead weakref means backward itself dropped every reference.
         rng = np.random.default_rng(3)
@@ -244,8 +245,40 @@ class TestBackward:
             assert ref() is None
         finally:
             gc.enable()
-        assert len(loss.tape) == 0
         assert kern.grad_weights is not None and x.grad is not None
+        with pytest.raises(ShapeError):
+            backward(loss)
+
+    def test_second_backward_through_shared_subgraph_rejected(self):
+        # Both losses read h; once the first has backpropagated through h's
+        # op, the second must raise rather than stop at h with partial
+        # gradients, and leave every gradient as it was.
+        rng = np.random.default_rng(4)
+        kern = ConvKernel(rng.standard_normal((2, 2, 2)), rng.standard_normal(2), 1)
+        x = Tensor(rng.standard_normal((2, 8)), requires_grad=True)
+        h = relu(conv1d_causal(x, kern))
+        first = sum_all(mul(h, h))
+        second = mean_all(sub(h, Tensor(np.ones((2, 8)))))
+        backward(first)
+        before = [g.copy() for g in (x.grad, h.grad, kern.grad_weights, kern.grad_bias)]
+        with pytest.raises(ShapeError):
+            backward(second)
+        after = (x.grad, h.grad, kern.grad_weights, kern.grad_bias)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+        assert second.grad is None
+
+    def test_gradients_sum_in_reverse_creation_order(self):
+        # One leaf read by three muls: float addition is not associative at
+        # 1e16, so the leaf's gradient shows the order its terms were summed.
+        x = Tensor([[1.0]], requires_grad=True)
+        consts = [1e16, -1e16, 1.0]
+        terms = [mul(x, Tensor([[c]])) for c in consts]
+        backward(sum_all(add(terms[2], add(terms[0], terms[1]))))
+        want = 0.0
+        for c in reversed(consts):
+            want += c
+        assert x.grad[0, 0] == want
+        assert want != (consts[0] + consts[1]) + consts[2]  # creation order sums to 1.0
 
     def test_causal_input_gradient_is_zero_for_future(self):
         rng = np.random.default_rng(0)
@@ -314,7 +347,9 @@ class TestBackward:
         x = Tensor([1.0, 2.0], requires_grad=True)
         with no_grad():
             y = mul(x, x)
-        assert y.tape is None and not y.requires_grad
+        assert not y.requires_grad
+        with pytest.raises(ShapeError):
+            backward(sum_all(y))
 
     def test_no_grad_is_per_thread(self):
         # One thread sits inside no_grad() while the other records; the
@@ -340,25 +375,24 @@ class TestBackward:
         for t in threads:
             t.join(timeout=10)
             assert not t.is_alive()
-        assert out["quiet"].tape is None and not out["quiet"].requires_grad
-        assert out["recording"].tape is not None and out["recording"].requires_grad
+        assert not out["quiet"].requires_grad
+        with pytest.raises(ShapeError):
+            backward(sum_all(out["quiet"]))
+        assert out["recording"].requires_grad
+        backward(sum_all(out["recording"]))
+        assert x.grad.tolist() == [[2.0, 4.0]]
 
     def test_no_grad_reaches_a_copied_context(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with ThreadPoolExecutor(1) as pool, no_grad():
             plain = pool.submit(mul, x, x).result()
             copied = pool.submit(copy_context().run, mul, x, x).result()
-        assert plain.tape is not None
-        assert copied.tape is None
-
-    def test_debug_nan_check_flags_nonfinite(self):
-        T.debug_nan_checks = True
-        try:
-            big = Tensor([[1e308]])
-            with np.errstate(over="ignore"), pytest.raises(DivergenceError):
-                mul(big, big)
-        finally:
-            T.debug_nan_checks = False
+        assert plain.requires_grad
+        assert not copied.requires_grad
+        with pytest.raises(ShapeError):
+            backward(sum_all(copied))
+        backward(sum_all(plain))
+        assert x.grad.tolist() == [[2.0, 4.0]]
 
     def test_deterministic_forward(self):
         rng = np.random.default_rng(9)
@@ -439,8 +473,8 @@ class TestTensorBasics:
             Tensor(np.zeros((2, 2, 2)))
 
     def test_independent_chains_merge_correctly(self):
-        # u = a^2 and v = b^2 start on separate tapes; combining them must
-        # still backpropagate through both chains.
+        # u = a^2 and v = b^2 are separate chains until combined; backward
+        # must still reach both.
         a = Tensor([3.0], requires_grad=True)
         b = Tensor([2.0], requires_grad=True)
         u = mul(a, a)
@@ -451,6 +485,6 @@ class TestTensorBasics:
 
     def test_same_leaf_consumed_by_two_chains(self):
         x = Tensor([2.0], requires_grad=True)
-        y = mul(relu(x), relu(x))  # two relu calls, two tapes, one leaf
+        y = mul(relu(x), relu(x))  # two relu calls, two chains, one leaf
         backward(sum_all(y))
         assert x.grad[0, 0] == pytest.approx(4.0)  # d(x^2)/dx at 2
