@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -99,6 +100,9 @@ def cmd_synth_data(args) -> int:
         return EXIT_USAGE
     if args.sessions < 1:
         print("error: --sessions must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
+    if not (math.isfinite(args.noise) and args.noise >= 0):
+        print("error: --noise must be finite and >= 0", file=sys.stderr)
         return EXIT_USAGE
     out_dir = Path(args.out)
     try:
@@ -224,8 +228,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_stream_bench(args) -> int:
-    if args.seconds <= 0:
-        print("error: --seconds must be positive", file=sys.stderr)
+    if not (math.isfinite(args.seconds) and args.seconds > 0):
+        print("error: --seconds must be finite and positive", file=sys.stderr)
         return EXIT_USAGE
     weights = load_weights(args.ckpt)
     cfg = weights.config

@@ -4,14 +4,16 @@ Architecture: 1x1 input projection, a stack of dilated causal blocks with
 gated activations and residual + skip paths, a skip sum feeding a causal
 sliding-window convolution for context aggregation, and a linear 1x1 output
 head (no final nonlinearity, so amplitude is unbounded). Dilation doubles
-per block. A streaming forward pass with per-layer input histories reproduces
-the batch output sample by sample.
+per block. A streaming forward pass reproduces the batch output sample by
+sample from each dilated conv's input history and a plan folded from the
+weights: one tanh per gate, one matvec for skips, context and head.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import io
+import itertools
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -22,7 +24,6 @@ from .errors import CheckpointError, ConfigError, ShapeError, StreamStateError
 from .tensor import (
     ConvKernel,
     Tensor,
-    _sigmoid,
     as_tensor,
     add,
     conv1d_causal,
@@ -55,8 +56,8 @@ class ModelConfig:
             raise ConfigError(f"num_blocks must be >= 1, got {self.num_blocks}")
         if self.context_window < 1:
             raise ConfigError(f"context_window must be >= 1, got {self.context_window}")
-        if self.residual_channels < 1 or self.skip_channels < 1:
-            raise ConfigError("channel widths must be >= 1")
+        if min(self.residual_channels, self.skip_channels, self.in_channels, self.out_channels) < 1:
+            raise ConfigError("channel counts must be >= 1")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
 
@@ -161,34 +162,42 @@ class ModelWeights:
         return self._rebuild(ConvKernel.shared, lambda arr: arr)
 
 
+def _kernel_layout(config: ModelConfig):
+    """(name, [C_out, C_in, k], dilation) of every kernel, in checkpoint order."""
+    c, c_skip = config.residual_channels, config.skip_channels
+    gate_mult = 2 if config.activation == "gated" else 1
+    yield "input_proj", (c, config.in_channels, 1), 1
+    for i in range(config.num_blocks):  # lazily: a corrupt header may hold any count
+        yield f"block{i}.dilated", (gate_mult * c, c, config.kernel_size), 2**i
+        yield f"block{i}.residual", (c, c, 1), 1
+        yield f"block{i}.skip", (c_skip, c, 1), 1
+    yield "context", (c_skip, c_skip, config.context_window), 1
+    yield "output_proj", (config.out_channels, c_skip, 1), 1
+
+
+def _manifest_layout(config: ModelConfig):
+    """(name, shape) of every checkpoint array, in file order."""
+    yield from (("input_offset", (config.in_channels,)), ("input_scale", (config.in_channels,)))
+    for name, shape, _ in _kernel_layout(config):
+        yield f"{name}.weights", shape
+        yield f"{name}.bias", shape[:1]
+
+
+def _assemble(config: ModelConfig, offset, scale, k: dict) -> ModelWeights:
+    parts = ("dilated", "residual", "skip")
+    blocks = [BlockWeights(*(k[f"block{i}.{p}"] for p in parts)) for i in range(config.num_blocks)]
+    return ModelWeights(config, offset, scale, k["input_proj"], blocks, k["context"], k["output_proj"])
+
+
 def init_weights(config: ModelConfig, seed: int = 0) -> ModelWeights:
     """Fan-in scaled uniform init, biases zero, identity input normalizer."""
     rng = np.random.default_rng(seed)
-    c_res = config.residual_channels
-    c_skip = config.skip_channels
-
-    def kernel(c_out, c_in, k, dilation=1):
-        return ConvKernel(he_uniform_init(rng, c_out, c_in, k), np.zeros(c_out), dilation)
-
-    gate_mult = 2 if config.activation == "gated" else 1
-    blocks = []
-    for d in config.dilations():
-        blocks.append(
-            BlockWeights(
-                dilated=kernel(gate_mult * c_res, c_res, config.kernel_size, d),
-                residual=kernel(c_res, c_res, 1),
-                skip=kernel(c_skip, c_res, 1),
-            )
-        )
-    return ModelWeights(
-        config=config,
-        input_offset=np.zeros(config.in_channels),
-        input_scale=np.ones(config.in_channels),
-        input_proj=kernel(c_res, config.in_channels, 1),
-        blocks=blocks,
-        context=kernel(c_skip, c_skip, config.context_window),
-        output_proj=kernel(config.out_channels, c_skip, 1),
-    )
+    layout = list(_kernel_layout(config))
+    kernels = {}
+    # Drawn blocks first, then input_proj, context and output_proj.
+    for name, shape, dilation in layout[1:-2] + layout[:1] + layout[-2:]:
+        kernels[name] = ConvKernel(he_uniform_init(rng, *shape), np.zeros(shape[0]), dilation)
+    return _assemble(config, np.zeros(config.in_channels), np.ones(config.in_channels), kernels)
 
 
 def _activate(pre: Tensor, activation: str) -> Tensor:
@@ -253,65 +262,103 @@ class _History:
 
 
 class StreamState:
-    """Per-layer input histories for sample-by-sample inference."""
+    """Sample-by-sample inference: per-block input histories and a stream plan.
+
+    The plan folds the weights for one step. Each dilated, residual and tail
+    matrix carries its bias as a last column, read against a constant 1. A
+    gated kernel's gate half is halved, so one tanh gives g' = tanh(a) *
+    (1 + tanh(b/2)) = 2g; the residual and tail weights take the other 1/2.
+    The skip 1x1s, the context conv and the head are linear: row m of the
+    [w x N*(C+1)] tail is what a step's gates add to the prediction m steps
+    ahead, summed into a buffer of future predictions.
+
+    The plan is built from the weights on the first step after construction
+    or reset(), and again when a step is given another ModelWeights object,
+    so in-place edits to the weights take effect after reset().
+    """
 
     def __init__(self, config: ModelConfig):
         self.config = config
-        k = config.kernel_size
-        self.block_histories = [
-            _History(config.residual_channels, (k - 1) * d + 1) for d in config.dilations()
-        ]
-        self.context_history = _History(config.skip_channels, config.context_window)
+        k, c, w = config.kernel_size, config.residual_channels, config.context_window
+        self.block_histories = [_History(c, (k - 1) * d + 1) for d in config.dilations()]
+        self.gated = config.activation == "gated"
+        self.pre = np.empty(2 * c if self.gated else c)
+        self.taps = np.ones(c * k + 1)  # a dilated conv's taps, then the constant 1
+        self.views = (self.taps[:-1].reshape(c, k), self.pre[:c], self.pre[c:])
+        self.gates = np.ones(config.num_blocks * (c + 1))  # block i: [g'_i, 1]
+        self.future = np.zeros(2 * w)  # [pos, pos + w) holds predictions t .. t+w-1
+        self.reset()
 
     def reset(self) -> None:
         for hist in self.block_histories:
             hist.reset()
-        self.context_history.reset()
+        self.future[:] = 0.0
+        self.pos = 0
+        self.source = None  # the ModelWeights the plan was built from
 
-
-def _conv_step(kernel: ConvKernel, history: _History | None, v: np.ndarray) -> np.ndarray:
-    """One output column of conv1d_causal: the layer's taps, then one matvec.
-
-    `history` holds the layer's past inputs; None for a 1x1 conv. Tap j of
-    input channel i lands at i*k + j, the order of the flattened weights.
-    """
-    taps = v if history is None else history.push(v)[:, :: kernel.dilation].ravel()
-    w = kernel.weights
-    return w.reshape(w.shape[0], -1) @ taps + kernel.bias
+    def _build_plan(self, weights: ModelWeights) -> None:
+        if self.config != (cfg := weights.config):
+            raise StreamStateError(f"stream state built for {self.config}, model expects {cfg}")
+        c = self.config.residual_channels
+        half = 0.5 if self.gated else 1.0  # g = half * g'
+        self.offset, self.scale = weights.input_offset.copy(), weights.input_scale.copy()
+        self.input_w = weights.input_proj.weights[:, :, 0].copy()
+        self.input_b = weights.input_proj.bias.copy()
+        self.blocks = []
+        for i, (blk, hist) in enumerate(zip(weights.blocks, self.block_histories)):
+            dilated = np.c_[blk.dilated.weights.reshape(len(self.pre), -1), blk.dilated.bias]
+            dilated[c:] *= half
+            g1 = self.gates[i * (c + 1) : (i + 1) * (c + 1)]  # [g'_i, 1]
+            residual = None  # the last block's residual output is never read
+            if blk is not weights.blocks[-1]:
+                residual = np.c_[blk.residual.weights[:, :, 0] * half, blk.residual.bias]
+            self.blocks.append((hist, blk.dilated.dilation, dilated, g1[:c], g1, residual))
+        skips = np.hstack(
+            [np.c_[blk.skip.weights[:, :, 0] * half, blk.skip.bias] for blk in weights.blocks]
+        )
+        head = weights.output_proj.weights[0, :, 0]
+        self.tail = np.einsum("o,oit->ti", head, weights.context.weights)[::-1] @ skips
+        self.const = float(head @ weights.context.bias + weights.output_proj.bias[0])
+        self.source = weights
 
 
 def forward_streaming(weights: ModelWeights, state: StreamState, sample) -> float:
     """One causal step; returns the prediction for the current sample.
 
     Feeding a sequence one sample at a time reproduces forward() on the
-    full history; the state is updated in place.
+    full history within rounding; the state is updated in place.
     """
-    cfg = weights.config
-    if state.config != cfg:
-        raise StreamStateError(
-            f"stream state built for {state.config}, model expects {cfg}"
-        )
+    if state.source is not weights:
+        state._build_plan(weights)
     v = np.asarray(sample, dtype=np.float64).ravel()
-    if v.shape != (cfg.in_channels,):
-        raise ShapeError(f"expected a {cfg.in_channels}-vector sample, got shape {v.shape}")
+    if v.shape != state.offset.shape:
+        raise ShapeError(f"expected a {state.offset.size}-vector sample, got shape {v.shape}")
 
-    z = _conv_step(weights.input_proj, None, (v - weights.input_offset) * weights.input_scale)
-    skip_sum = None
-    last = weights.blocks[-1]
-    for blk, hist in zip(weights.blocks, state.block_histories):
-        pre = _conv_step(blk.dilated, hist, z)
-        if cfg.activation == "gated":
-            half = pre.shape[0] // 2
-            g = np.tanh(pre[:half]) * _sigmoid(pre[half:])
+    z = state.input_w @ ((v - state.offset) * state.scale) + state.input_b
+    pre, taps = state.pre, state.taps
+    tap_view, pre_a, pre_b = state.views
+    for hist, dilation, dilated, g, g1, residual in state.blocks:
+        tap_view[:] = hist.push(z)[:, ::dilation]
+        np.matmul(dilated, taps, out=pre)
+        if state.gated:
+            np.tanh(pre, out=pre)
+            pre_b += 1.0
+            np.multiply(pre_a, pre_b, out=g)
         else:
-            g = np.maximum(pre, 0.0)
-        s = _conv_step(blk.skip, None, g)
-        skip_sum = s if skip_sum is None else skip_sum + s
-        if blk is not last:
-            z = z + _conv_step(blk.residual, None, g)
+            np.maximum(pre, 0.0, out=g)
+        if residual is not None:
+            z += residual @ g1
 
-    context = _conv_step(weights.context, state.context_history, skip_sum)
-    return float(_conv_step(weights.output_proj, None, context)[0])
+    future, pos, w = state.future, state.pos, state.config.context_window
+    window = future[pos : pos + w]
+    window += state.tail @ state.gates
+    y = float(window[0]) + state.const
+    state.pos = pos = pos + 1
+    if pos == w:  # slide the second half down
+        future[:w] = future[w:]
+        future[w:] = 0.0
+        state.pos = 0
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -353,39 +400,50 @@ def save_weights(weights: ModelWeights, path) -> None:
             fh.write(arr.astype("<f8").tobytes())
 
 
-def _parse_header(header: str) -> tuple[ModelConfig, list[tuple[str, tuple[int, ...]]]]:
+def _parse_header(header: bytes) -> tuple[ModelConfig, list[tuple[str, tuple[int, ...]]]]:
+    try:
+        lines = header.decode("utf-8").strip().splitlines()
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"checkpoint header is not valid UTF-8: {exc}") from exc
     fields: dict = {}
     manifest: list[tuple[str, tuple[int, ...]]] = []
-    version = None
-    for line in header.strip().splitlines():
-        if line.startswith("format_version="):
-            version = int(line.split("=", 1)[1])
-        elif line.startswith("config."):
-            key, value = line[len("config.") :].split("=", 1)
-            if key not in _CONFIG_FIELDS:
-                raise CheckpointError(f"unrecognized header line: {line!r}")
-            try:
+    version, seen = None, set()
+    for line in lines:
+        try:
+            if line.startswith("format_version="):
+                key, version = "format_version", int(line.split("=", 1)[1])
+            elif line.startswith("config."):
+                key, value = line[len("config.") :].split("=", 1)
+                if key not in _CONFIG_FIELDS:
+                    raise CheckpointError(f"unrecognized header line: {line!r}")
                 fields[key] = _CONFIG_FIELDS[key](value)
-            except ValueError as exc:
-                raise CheckpointError(f"bad value in header line: {line!r}") from exc
-        elif line.startswith("param "):
-            parts = line.split()
-            manifest.append((parts[1], tuple(int(d) for d in parts[2:])))
-        else:
-            raise CheckpointError(f"unrecognized header line: {line!r}")
+            elif line.startswith("param "):
+                _, key, *dims = line.split()
+                manifest.append((key, tuple(int(d) for d in dims)))
+            else:
+                raise CheckpointError(f"unrecognized header line: {line!r}")
+        except ValueError as exc:
+            raise CheckpointError(f"bad value in header line: {line!r}") from exc
+        if key in seen:
+            raise CheckpointError(f"duplicated header entry {key!r}")
+        seen.add(key)
     if version != _FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint format version {version}")
     missing = [f for f in _CONFIG_FIELDS if f not in fields]
     if missing:
         raise CheckpointError(f"checkpoint header missing config fields: {missing}")
-    return ModelConfig(**fields), manifest
+    try:
+        return ModelConfig(**fields), manifest
+    except ConfigError as exc:
+        raise CheckpointError(f"checkpoint header holds an invalid config: {exc}") from exc
 
 
 def load_weights(path, expected_config: ModelConfig | None = None) -> ModelWeights:
     """Load a checkpoint.
 
     Raises CheckpointError on truncation, trailing bytes, a non-finite
-    value, or a config or layout mismatch.
+    value, a malformed or repeated header entry, or a config or layout
+    mismatch.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -400,20 +458,24 @@ def load_weights(path, expected_config: ModelConfig | None = None) -> ModelWeigh
     header = view.read(header_len)
     if len(header) < header_len:
         raise CheckpointError("truncated checkpoint: incomplete header")
-    config, manifest = _parse_header(header.decode("utf-8"))
+    config, manifest = _parse_header(header)
 
     if expected_config is not None and config != expected_config:
         for fname in _CONFIG_FIELDS:
-            have = getattr(config, fname)
-            want = getattr(expected_config, fname)
+            have, want = getattr(config, fname), getattr(expected_config, fname)
             if have != want:
                 raise CheckpointError(
                     f"checkpoint config mismatch on {fname!r}: file has {have}, expected {want}"
                 )
 
+    # Checked entry by entry before any array is read, so no header can make
+    # the load allocate more than the file holds.
+    if any(a != b for a, b in itertools.zip_longest(manifest, _manifest_layout(config))):
+        raise CheckpointError("checkpoint manifest does not match the model layout")
+
     arrays = {}
     for name, shape in manifest:
-        count = int(np.prod(shape)) if shape else 1
+        count = int(np.prod(shape))
         raw = view.read(count * 8)
         if len(raw) < count * 8:
             raise CheckpointError(f"truncated checkpoint: blob for {name!r} incomplete")
@@ -424,18 +486,6 @@ def load_weights(path, expected_config: ModelConfig | None = None) -> ModelWeigh
     if trailing:
         raise CheckpointError(f"checkpoint has {trailing} trailing bytes after the last blob")
 
-    fresh = init_weights(config, seed=0)
-    expected_names = [name for name, _ in _manifest_entries(fresh)]
-    if expected_names != [name for name, _ in manifest]:
-        raise CheckpointError("checkpoint manifest does not match the model layout")
-
-    fresh.input_offset = arrays["input_offset"]
-    fresh.input_scale = arrays["input_scale"]
-    for name, kern in fresh.named_kernels():
-        w = arrays[f"{name}.weights"]
-        b = arrays[f"{name}.bias"]
-        if w.shape != kern.weights.shape or b.shape != kern.bias.shape:
-            raise CheckpointError(f"checkpoint shape mismatch for {name!r}")
-        kern.weights = w
-        kern.bias = b
-    return fresh
+    layout = _kernel_layout(config)
+    kernels = {n: ConvKernel(arrays[f"{n}.weights"], arrays[f"{n}.bias"], d) for n, _, d in layout}
+    return _assemble(config, arrays["input_offset"], arrays["input_scale"], kernels)

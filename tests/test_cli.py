@@ -149,6 +149,14 @@ class TestSynthData:
         assert rc == cli.EXIT_USAGE
         assert "reps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("noise", ["-1", "nan", "inf"])
+    def test_bad_noise_rejected(self, tmp_path, capsys, noise):
+        out = tmp_path / "x"
+        rc = cli.main(["synth-data", "--out", str(out), "--reps", "1", "--noise", noise])
+        assert rc == cli.EXIT_USAGE
+        assert "--noise must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_one_file_per_session(self, tmp_path):
         out = tmp_path / "four"
         rc = cli.main(
@@ -463,6 +471,14 @@ class TestTrainEvalBench:
             ["stream-bench", "--ckpt", str(run_dir / "model.ckpt"), "--seconds", "0"]
         )
         assert rc == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("seconds", ["nan", "inf"])
+    def test_stream_bench_nonfinite_seconds_rejected(self, run_dir, capsys, seconds):
+        rc = cli.main(
+            ["stream-bench", "--ckpt", str(run_dir / "model.ckpt"), "--seconds", seconds]
+        )
+        assert rc == cli.EXIT_USAGE
+        assert "--seconds must be finite and positive" in capsys.readouterr().err
 
     def test_stream_bench_deterministic_per_seed(self, run_dir, capsys):
         outputs = []

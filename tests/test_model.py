@@ -253,6 +253,64 @@ class TestStreaming:
         with pytest.raises(ShapeError):
             M.forward_streaming(w, M.StreamState(TINY), np.zeros(5))
 
+    def test_in_place_edit_takes_effect_after_reset(self):
+        cfg = M.ModelConfig(
+            kernel_size=2, num_blocks=3, residual_channels=4, skip_channels=3, context_window=4
+        )
+        w = M.init_weights(cfg, seed=40)
+        x = rand_input(250, seed=41)
+        state = M.StreamState(cfg)
+        for i in range(50):
+            M.forward_streaming(w, state, x[:, i])
+        w.input_offset[:] = 0.3
+        w.blocks[1].dilated.weights *= 1.7
+        w.blocks[0].residual.bias[:] = -0.2
+        w.blocks[2].skip.weights *= -1.0
+        w.context.bias[:] = 0.4
+        w.output_proj.bias[:] = 0.1
+        state.reset()
+        got = [M.forward_streaming(w, state, x[:, i]) for i in range(50, 250)]
+        fresh = M.StreamState(cfg)
+        want = [M.forward_streaming(w, fresh, x[:, i]) for i in range(50, 250)]
+        assert np.array_equal(np.array(got), np.array(want))
+
+    def test_other_weights_after_reset_match_a_fresh_state(self):
+        w1 = M.init_weights(TINY, seed=42)
+        w2 = M.init_weights(TINY, seed=43)
+        x = rand_input(300, seed=44)
+        state = M.StreamState(TINY)
+        for i in range(100):
+            M.forward_streaming(w1, state, x[:, i])
+        state.reset()
+        got = [M.forward_streaming(w2, state, x[:, i]) for i in range(300)]
+        fresh = M.StreamState(TINY)
+        want = [M.forward_streaming(w2, fresh, x[:, i]) for i in range(300)]
+        assert np.array_equal(np.array(got), np.array(want))
+
+    @pytest.mark.parametrize("activation", ["gated", "relu"])
+    def test_saturated_gates_match_batch(self, activation):
+        cfg = M.ModelConfig(
+            kernel_size=3,
+            num_blocks=3,
+            residual_channels=6,
+            skip_channels=5,
+            context_window=5,
+            activation=activation,
+        )
+        w = M.init_weights(cfg, seed=45)
+        rng = np.random.default_rng(46)
+        for _, kern in w.named_kernels():
+            kern.weights *= 3.0
+            kern.bias[:] = rng.standard_normal(kern.bias.shape)
+        x = 3.0 * rand_input(600, seed=47)
+        with no_grad():
+            pre = conv1d_causal(conv1d_causal(Tensor(x), w.input_proj), w.blocks[0].dilated).data
+            batch = M.forward(w, x).data[0]
+        assert np.mean(np.abs(pre) > 4.0) > 0.25  # tanh and sigmoid both saturate here
+        state = M.StreamState(cfg)
+        streamed = np.array([M.forward_streaming(w, state, x[:, i]) for i in range(600)])
+        assert np.max(np.abs(streamed - batch)) <= 1e-9
+
 
 @settings(max_examples=25, deadline=None)
 @given(
@@ -260,16 +318,20 @@ class TestStreaming:
     n_blocks=st.integers(1, 4),
     window=st.integers(1, 8),
     activation=st.sampled_from(M.ACTIVATIONS),
+    out_channels=st.integers(1, 2),
     before_reset=st.integers(1, 40),
     seed=st.integers(0, 1000),
 )
-def test_streaming_matches_batch_random_configs(k, n_blocks, window, activation, before_reset, seed):
+def test_streaming_matches_batch_random_configs(
+    k, n_blocks, window, activation, out_channels, before_reset, seed
+):
     cfg = M.ModelConfig(
         kernel_size=k,
         num_blocks=n_blocks,
         residual_channels=4,
         skip_channels=3,
         context_window=window,
+        out_channels=out_channels,
         activation=activation,
     )
     w = M.init_weights(cfg, seed=seed)
@@ -398,6 +460,30 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=match):
             M.load_weights(path)
 
+    @pytest.mark.parametrize(
+        "old, new, match",
+        [
+            (b"format_version=1", b"format_version=x", "bad value"),
+            (b"param input_offset 6", b"param input_offset six", "bad value"),
+            (b"config.activation=gated", b"config.activation=g\xffted", "not valid UTF-8"),
+            (b"config.num_blocks=2\n", b"config.num_blocks=2\nconfig.num_blocks=3\n", "duplicated"),
+            (b"param input_scale 6\n", b"param input_scale 6\nparam input_scale 6\n", "duplicated"),
+            (b"format_version=1\n", b"format_version=1\nformat_version=1\n", "duplicated"),
+            (b"config.kernel_size=2", b"config.kernel_size=1", "invalid config"),
+            (b"config.in_channels=6", b"config.in_channels=0", "invalid config"),
+            # A huge model is refused by the manifest check, before any allocation.
+            (b"config.residual_channels=3", b"config.residual_channels=100000000", "layout"),
+            (b"config.num_blocks=2", b"config.num_blocks=100000000", "layout"),
+            (b"param input_offset 6", b"param input_offset -6", "layout"),
+        ],
+    )
+    def test_malformed_header_rejected(self, tmp_path, old, new, match):
+        path = tmp_path / "model.ckpt"
+        M.save_weights(M.init_weights(TINY, seed=30), path)
+        path.write_bytes(_edit_header(path.read_bytes(), lambda h: h.replace(old, new, 1)))
+        with pytest.raises(CheckpointError, match=match):
+            M.load_weights(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         w = M.init_weights(TINY, seed=27)
         path = tmp_path / "model.ckpt"
@@ -453,3 +539,69 @@ def test_causality_property_random_configs(k, n_blocks, c_res, c_skip, window, s
         y = M.forward(w, x).data
         y_mod = M.forward(w, x_mod).data
     assert np.array_equal(y[:, :cut], y_mod[:, :cut])
+
+
+def _edit_header(blob: bytes, edit) -> bytes:
+    """Checkpoint `blob` with its header replaced by edit(header) and the length fixed up."""
+    (n,) = struct.unpack("<I", blob[8:12])
+    header = edit(blob[12 : 12 + n])
+    return blob[:8] + struct.pack("<I", len(header)) + header + blob[12 + n :]
+
+
+_HEADER_LINE = st.tuples(
+    st.sampled_from(
+        [
+            "",
+            "format_version=",
+            "config.",
+            "config.num_blocks=",
+            "config.residual_channels=",
+            "config.activation=",
+            "param ",
+            "param input_offset ",
+            "param block0.dilated.weights ",
+        ]
+    ),
+    st.text(alphabet="0123456789-+. =_xeé\n", max_size=12),
+).map("".join)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("header_fuzz")
+    M.save_weights(M.init_weights(TINY, seed=31), root / "valid.ckpt")
+    return root
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_header_fuzz_loads_or_raises_checkpoint_error(fuzz_dir, data):
+    """Mutated header lines and bytes either load or raise CheckpointError."""
+    blob = (fuzz_dir / "valid.ckpt").read_bytes()
+    for _ in range(data.draw(st.integers(1, 3))):
+        (n,) = struct.unpack("<I", blob[8:12])
+        lines = blob[12 : 12 + n].split(b"\n")
+        i = data.draw(st.integers(0, len(lines) - 1))
+        kind = data.draw(st.sampled_from(["line", "dup", "drop", "byte", "insert", "length"]))
+        if kind == "line":
+            lines[i] = data.draw(_HEADER_LINE).encode()
+        elif kind == "dup":
+            lines.insert(i, lines[i])
+        elif kind == "drop":
+            del lines[i]
+        header = b"\n".join(lines)
+        if kind in ("byte", "insert"):
+            j = data.draw(st.integers(0, max(len(header) - 1, 0)))
+            byte = bytes([data.draw(st.integers(0, 255))])
+            header = header[:j] + byte + header[j + (kind == "byte") :]
+        blob = _edit_header(blob, lambda _: header)
+        if kind == "length":  # a stale length field: header and blobs overlap or part
+            stale = max(n + data.draw(st.integers(-8, 8)), 0)
+            blob = blob[:8] + struct.pack("<I", stale) + blob[12:]
+    path = fuzz_dir / "mutated.ckpt"
+    path.write_bytes(blob)
+    try:
+        loaded = M.load_weights(path)
+    except CheckpointError:
+        return
+    assert isinstance(loaded, M.ModelWeights)
