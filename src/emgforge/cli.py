@@ -1,8 +1,12 @@
 """Command-line surface: synth-data, preprocess, train, eval, stream-bench.
 
-Exit codes: 0 success, 2 usage/validation error, 3 empty result (no
-contractions found), 4 training divergence, 5 invariant breach (streaming
-does not match the batch forward pass).
+A subcommand returns or raises; `main` alone turns an error into one
+`error: ...` line on stderr and an exit code, from `EXIT_CODES`: 0 success,
+3 empty result (`NoActivityError`: no contractions found), 4 training
+divergence (`DivergenceError`), 5 invariant breach (`StreamMismatchError`:
+streaming does not match the batch forward pass), and 2 for any other
+`PipelineError` or `OSError` (bad flag, config, file or checkpoint) and for
+argparse's own usage errors.
 """
 
 from __future__ import annotations
@@ -19,7 +23,14 @@ import numpy as np
 
 from . import dataio, metrics, synthgen, train as training
 from .config import RunConfig, load_run_config, segmenting_config
-from .errors import DivergenceError, NoActivityError, PipelineError
+from .errors import (
+    ConfigError,
+    DivergenceError,
+    InsufficientDataError,
+    NoActivityError,
+    PipelineError,
+    StreamMismatchError,
+)
 from .model import (
     StreamState,
     forward,
@@ -38,6 +49,15 @@ EXIT_EMPTY = 3
 EXIT_DIVERGED = 4
 EXIT_BREACH = 5
 
+# The first class an error is an instance of picks the exit code.
+EXIT_CODES = (
+    (NoActivityError, EXIT_EMPTY),
+    (DivergenceError, EXIT_DIVERGED),
+    (StreamMismatchError, EXIT_BREACH),
+    (PipelineError, EXIT_USAGE),
+    (OSError, EXIT_USAGE),
+)
+
 STREAM_TOLERANCE = 1e-9
 
 
@@ -53,12 +73,18 @@ def _recording_paths(data_dir: Path) -> list[Path]:
 
 
 def _load_segments(data_dir: Path, cfg: RunConfig, motion: str | None):
+    """The segments of every recording in `data_dir`, or of those of `motion`."""
+    if not data_dir.is_dir():
+        raise ConfigError(f"data directory not found: {data_dir}")
     segments = []
     for path in _recording_paths(data_dir):
         rec = dataio.load_recording(path, fs=cfg.fs)
+        if motion and rec.meta.motion != motion:
+            continue
         segments.extend(dataio.build_segments(rec, cfg.segmentation, cfg.filter))
-    if motion:
-        segments = [s for s in segments if s.meta.motion == motion]
+    if not segments:
+        which = f"{motion} recordings" if motion else "recordings"
+        raise InsufficientDataError(f"no {which} found in data directory")
     return segments
 
 
@@ -94,22 +120,17 @@ def _write_overlay_svg(path, target: np.ndarray, prediction: np.ndarray, title: 
     Path(path).write_text("\n".join(parts) + "\n")
 
 
-def cmd_synth_data(args) -> int:
+def cmd_synth_data(args) -> None:
     if args.reps < 1:
-        print("error: --reps must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("--reps must be >= 1")
     if args.sessions < 1:
-        print("error: --sessions must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("--sessions must be >= 1")
     if not (math.isfinite(args.noise) and args.noise >= 0):
-        print("error: --noise must be finite and >= 0", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("--noise must be finite and >= 0")
+    if args.seed < 0:
+        raise ConfigError("--seed must be >= 0")
     out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     profile = synthgen.MotionProfile(
         motion=args.motion, n_reps=args.reps, noise_std=args.noise
@@ -119,37 +140,24 @@ def cmd_synth_data(args) -> int:
             profile, seed=args.seed + 7919 * day, day=day
         )
         stem = f"{args.motion}_day{day}"
-        try:
-            dataio.write_raw_recording(rec, out_dir / f"{stem}.csv")
-        except OSError as exc:
-            print(f"error: cannot write {stem}.csv: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        dataio.write_raw_recording(rec, out_dir / f"{stem}.csv")
         with open(out_dir / f"{stem}_truth.csv", "w") as fh:
             fh.write("gt_envelope\n")
             fh.writelines("%.17g\n" % v for v in truth.tolist())
         print(f"wrote {stem}.csv ({len(rec)} samples, {args.reps} reps)")
-    return EXIT_OK
 
 
-def cmd_preprocess(args) -> int:
+def cmd_preprocess(args) -> None:
     cfg = _load_config(args.config)
     rec = dataio.load_recording(args.infile, fs=cfg.fs)
     segments = dataio.build_segments(rec, cfg.segmentation, cfg.filter)
     dataio.write_segments(segments, args.out)
     print(f"segments: {len(segments)}")
-    return EXIT_OK
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     cfg = _load_config(args.config)
-    data_dir = Path(args.data)
-    if not data_dir.is_dir():
-        print(f"error: data directory not found: {data_dir}", file=sys.stderr)
-        return EXIT_USAGE
-    segments = _load_segments(data_dir, cfg, args.motion)
-    if not segments:
-        print("error: no recordings found in data directory", file=sys.stderr)
-        return EXIT_USAGE
+    segments = _load_segments(Path(args.data), cfg, args.motion)
 
     split = dataio.split_dataset(segments, cfg.train.train_fraction, cfg.train.seed)
     weights = init_weights(cfg.model, cfg.train.seed)
@@ -168,22 +176,14 @@ def cmd_train(args) -> int:
     training.write_run_metadata(ckpt.with_suffix(".run.json"), snapshot)
     best_val = min(history.val_losses)
     print(f"best validation loss: {best_val:.6g} (epoch {history.best_epoch})")
-    return EXIT_OK
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
     cfg = _load_config(args.config)
     explicit = bool(args.config or os.environ.get(CONFIG_ENV_VAR))
     cfg = segmenting_config(cfg, Path(args.ckpt).with_suffix(".run.json"), explicit)
     weights = load_weights(args.ckpt, expected_config=cfg.model if explicit else None)
-    data_dir = Path(args.data)
-    if not data_dir.is_dir():
-        print(f"error: data directory not found: {data_dir}", file=sys.stderr)
-        return EXIT_USAGE
-    segments = _load_segments(data_dir, cfg, args.motion)
-    if not segments:
-        print("error: no recordings found in data directory", file=sys.stderr)
-        return EXIT_USAGE
+    segments = _load_segments(Path(args.data), cfg, args.motion)
 
     pairs = training.predictions(weights, segments)
     report = metrics.report_from_pairs(
@@ -224,13 +224,13 @@ def cmd_eval(args) -> int:
             )
 
     print(report.format_table())
-    return EXIT_OK
 
 
-def cmd_stream_bench(args) -> int:
+def cmd_stream_bench(args) -> None:
     if not (math.isfinite(args.seconds) and args.seconds > 0):
-        print("error: --seconds must be finite and positive", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("--seconds must be finite and positive")
+    if args.seed < 0:
+        raise ConfigError("--seed must be >= 0")
     weights = load_weights(args.ckpt)
     cfg = weights.config
 
@@ -259,12 +259,9 @@ def cmd_stream_bench(args) -> int:
     print(f"max |streaming - batch| = {deviation:.3e}")
     # `not (<=)` so a NaN deviation (weights that overflow) also counts as a breach
     if not deviation <= STREAM_TOLERANCE:
-        print(
-            f"error: streaming/batch deviation {deviation:.3e} exceeds {STREAM_TOLERANCE}",
-            file=sys.stderr,
+        raise StreamMismatchError(
+            f"streaming/batch deviation {deviation:.3e} exceeds {STREAM_TOLERANCE}"
         )
-        return EXIT_BREACH
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,19 +317,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except NoActivityError as exc:
+        args.func(args)
+    except tuple(cls for cls, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except (PipelineError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .dataio import SegmentationParams
+from .dataio import SegmentationParams, json_is
 from .errors import ConfigError
 from .model import ModelConfig
 from .signal import FilterChainConfig
@@ -91,11 +91,13 @@ for _name, _value in RunConfig().snapshot().items():
 
 def load_run_config(path) -> RunConfig:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     parser = configparser.ConfigParser()
     try:
-        parser.read(path)
+        parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
 
@@ -120,6 +122,16 @@ def _cast(section: str, key: str, raw, source):
         ) from exc
 
 
+def _cast_json(section: str, key: str, value, source):
+    """A parsed JSON `value`, which must have its key's type, cast to that type."""
+    caster = _SCHEMA[section][key]
+    if not json_is(value, caster):
+        raise ConfigError(
+            f"bad value {value!r} for [{section}] {key} in {source} (expected {caster.__name__})"
+        )
+    return caster(value)
+
+
 # The keys that decide how recordings become segments.
 _SEGMENTING_SECTIONS = ("data", "filter", "segmentation")
 
@@ -137,14 +149,16 @@ def segmenting_config(cfg: RunConfig, run_json, explicit: bool) -> RunConfig:
     if not run_json.exists():
         return cfg
     try:
-        raw = json.loads(run_json.read_text())
-    except json.JSONDecodeError as exc:
+        raw = json.loads(run_json.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise ConfigError(f"cannot parse {run_json}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{run_json}: expected a JSON object, got {type(raw).__name__}")
     recorded = {}
     for name, value in raw.items():
         section, _, key = name.partition(".")
         if section in _SEGMENTING_SECTIONS and key in _SCHEMA[section]:
-            recorded[name] = _cast(section, key, value, run_json)
+            recorded[name] = _cast_json(section, key, value, run_json)
     if not explicit:
         return _replace_from_keys(cfg, recorded, "data.")
     current = cfg.snapshot()

@@ -276,6 +276,31 @@ def _sidecar_path(path: Path) -> Path:
     return path.with_name(path.stem + ".meta.json")
 
 
+def _read_sidecar(sidecar: Path) -> dict:
+    """A `.meta.json` sidecar's JSON object; a SchemaError names one that is not."""
+    try:
+        raw = json.loads(sidecar.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        raise SchemaError(f"cannot parse {sidecar}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{sidecar}: expected a JSON object, got {type(raw).__name__}")
+    return raw
+
+
+def json_is(value, kind: type) -> bool:
+    """Whether a parsed JSON `value` has type `kind`: an int is a float, a bool neither."""
+    allowed = (int, float) if kind is float else kind
+    return isinstance(value, allowed) and not isinstance(value, bool)
+
+
+def _sidecar_value(raw: dict, key: str, kind: type, default, sidecar: Path):
+    """`raw[key]` (or `default`) as `kind`; a SchemaError if its JSON type is not `kind`."""
+    value = raw.get(key, default)
+    if not json_is(value, kind):
+        raise SchemaError(f"{sidecar}: {key} must be a JSON {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
 def load_recording(
     path,
     schema: dict | None = None,
@@ -324,14 +349,14 @@ def load_recording(
     if meta is None:
         sidecar = _sidecar_path(path)
         if sidecar.exists():
-            raw = json.loads(sidecar.read_text())
+            raw = _read_sidecar(sidecar)
             meta = RecordingMeta(
-                subject=raw.get("subject", "unknown"),
-                motion=raw.get("motion", "unknown"),
-                day=int(raw.get("day", 0)),
+                subject=_sidecar_value(raw, "subject", str, "unknown", sidecar),
+                motion=_sidecar_value(raw, "motion", str, "unknown", sidecar),
+                day=_sidecar_value(raw, "day", int, 0, sidecar),
             )
             if "fs" in raw:
-                sidecar_fs = float(raw["fs"])
+                sidecar_fs = _sidecar_value(raw, "fs", float, None, sidecar)
                 if fs is not None and float(fs) != sidecar_fs:
                     raise SchemaError(
                         f"{sidecar}: sidecar fs={sidecar_fs:g} disagrees with the "
@@ -619,7 +644,7 @@ def read_segments(path) -> list[MergedSegment]:
     sidecar = _sidecar_path(path)
     if not sidecar.exists():
         raise SchemaError(f"segment metadata sidecar not found: {sidecar}")
-    info = json.loads(sidecar.read_text())
+    info = _read_sidecar(sidecar)
     fs = float(info["fs"])
 
     with open(path, newline="") as fh:
@@ -629,11 +654,19 @@ def read_segments(path) -> list[MergedSegment]:
             raise SchemaError(f"unexpected segment CSV header: {header}")
         rows = list(reader)
     width = len(_SEGMENT_HEADER)
+    values = np.empty((len(rows), width - 2))
     for i, row in enumerate(rows):
         if len(row) != width:
             raise SchemaError(f"{path}: data row {i} has {len(row)} fields, expected {width}")
+        try:
+            values[i] = [float(v) for v in row[2:]]
+        except ValueError:
+            raise SchemaError(f"{path}: data row {i} holds a value that is not a number") from None
+    bad = ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        raise SchemaError(f"{path}: data row {int(bad.argmax())} holds a non-finite value")
     ids = np.array([row[0] for row in rows])
-    values = np.array([[row[j] for row in rows] for j in range(2, width)], dtype=np.float64)
+    values = values.T
 
     segments = []
     for entry in info["segments"]:

@@ -73,5 +73,9 @@ class StreamStateError(PipelineError):
     """Streaming state does not match the model configuration."""
 
 
+class StreamMismatchError(PipelineError):
+    """Streaming forward pass departs from the batch forward pass."""
+
+
 class CheckpointError(PipelineError):
     """Checkpoint file unreadable, truncated, or config-incompatible."""

@@ -40,8 +40,8 @@ class SampledSignal:
         arr = np.asarray(self.samples, dtype=np.float64)
         if arr.ndim != 1:
             raise ShapeError(f"expected a 1-D sample array, got shape {arr.shape}")
-        if not self.fs > 0:
-            raise ConfigError(f"sample rate must be positive, got {self.fs}")
+        if not 0 < self.fs < math.inf:
+            raise ConfigError(f"sample rate must be finite and positive, got {self.fs}")
         object.__setattr__(self, "samples", arr)
         object.__setattr__(self, "fs", float(self.fs))
 
@@ -151,8 +151,8 @@ def design_butterworth(kind: str, order: int, cutoffs, fs: float) -> BiquadCasca
         raise ConfigError(f"unknown filter kind {kind!r}; expected one of {FILTER_KINDS}")
     if not isinstance(order, (int, np.integer)) or isinstance(order, bool) or order < 1:
         raise InvalidOrderError(f"filter order must be a positive integer, got {order!r}")
-    if not fs > 0:
-        raise InvalidCutoffError(f"sample rate must be positive, got {fs}")
+    if not 0 < fs < math.inf:
+        raise InvalidCutoffError(f"sample rate must be finite and positive, got {fs}")
 
     cut = tuple(float(c) for c in np.atleast_1d(cutoffs))
     expected = 1 if kind in ("lowpass", "highpass") else 2

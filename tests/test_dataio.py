@@ -579,6 +579,19 @@ class TestUnifiedDataset:
         with pytest.raises(SchemaError):
             dataio.read_segments(path)
 
+    @pytest.mark.parametrize("value", ["nan", "-inf", "abc", ""])
+    def test_bad_amplitude_names_its_row(self, tmp_path, value):
+        rec, _ = synthgen.generate_recording(synthgen.MotionProfile(n_reps=2), seed=8)
+        path = tmp_path / "segments.csv"
+        dataio.write_segments(dataio.build_segments(rec), path)
+        lines = path.read_text().splitlines(keepends=True)
+        fields = lines[4].split(",")
+        fields[2] = value
+        lines[4] = ",".join(fields)
+        path.write_text("".join(lines))
+        with pytest.raises(SchemaError, match="data row 3 "):
+            dataio.read_segments(path)
+
     def test_raw_recording_round_trip(self, tmp_path):
         rec, _ = synthgen.generate_recording(synthgen.MotionProfile(n_reps=2), seed=9)
         path = tmp_path / "raw.csv"
