@@ -231,10 +231,12 @@ def cmd_stream_bench(args) -> None:
         raise ConfigError("--seconds must be finite and positive")
     if args.seed < 0:
         raise ConfigError("--seed must be >= 0")
+    n_samples = int(args.seconds * 1000)
+    if n_samples == 0:
+        raise ConfigError(f"--seconds {args.seconds} gives no samples at 1000 Hz; use >= 0.001")
     weights = load_weights(args.ckpt)
     cfg = weights.config
 
-    n_samples = int(args.seconds * 1000)
     reps = max(1, int(np.ceil(args.seconds / 3.0)))
     profile = synthgen.MotionProfile(n_reps=reps)
     rec, _ = synthgen.generate_recording(profile, seed=args.seed)

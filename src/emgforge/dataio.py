@@ -293,8 +293,14 @@ def json_is(value, kind: type) -> bool:
     return isinstance(value, allowed) and not isinstance(value, bool)
 
 
-def _sidecar_value(raw: dict, key: str, kind: type, default, sidecar: Path):
-    """`raw[key]` (or `default`) as `kind`; a SchemaError if its JSON type is not `kind`."""
+_REQUIRED = object()  # the _sidecar_value default of a key that must be present
+
+
+def _sidecar_value(raw: dict, key: str, kind: type, default, sidecar):
+    """`raw[key]` (or `default`) as `kind`; a SchemaError if the key is missing
+    and _REQUIRED, or its JSON type is not `kind`. `sidecar` names the source."""
+    if default is _REQUIRED and key not in raw:
+        raise SchemaError(f"{sidecar}: missing key {key!r}")
     value = raw.get(key, default)
     if not json_is(value, kind):
         raise SchemaError(f"{sidecar}: {key} must be a JSON {kind.__name__}, got {value!r}")
@@ -645,7 +651,8 @@ def read_segments(path) -> list[MergedSegment]:
     if not sidecar.exists():
         raise SchemaError(f"segment metadata sidecar not found: {sidecar}")
     info = _read_sidecar(sidecar)
-    fs = float(info["fs"])
+    fs = _sidecar_value(info, "fs", float, _REQUIRED, sidecar)
+    entries = _sidecar_value(info, "segments", list, _REQUIRED, sidecar)
 
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -669,12 +676,19 @@ def read_segments(path) -> list[MergedSegment]:
     values = values.T
 
     segments = []
-    for entry in info["segments"]:
-        seg_id = entry["segment_id"]
+    for i, entry in enumerate(entries):
+        where = f"{sidecar} segment {i}"
+        if not isinstance(entry, dict):
+            raise SchemaError(f"{where}: expected a JSON object, got {type(entry).__name__}")
+
+        def field(key, kind):
+            return _sidecar_value(entry, key, kind, _REQUIRED, where)
+
+        seg_id = field("segment_id", str)
         data = values[:, ids == seg_id]
         if data.shape[1] == 0:
             raise SchemaError(f"segment {seg_id!r} listed in sidecar but absent from CSV")
-        bounds = dsp.SegmentBounds(int(entry["start"]), int(entry["end"]), int(entry["peak"]))
+        bounds = dsp.SegmentBounds(field("start", int), field("end", int), field("peak", int))
         if data.shape[1] != len(bounds):
             raise SchemaError(f"segment {seg_id!r} row count does not match its bounds")
         segments.append(
@@ -683,10 +697,10 @@ def read_segments(path) -> list[MergedSegment]:
                 target=data[0],
                 imu=data[1:],
                 meta=SegmentMeta(
-                    subject=entry["subject"],
-                    motion=entry["motion"],
-                    day=int(entry["day"]),
-                    rep_index=int(entry["rep_index"]),
+                    subject=field("subject", str),
+                    motion=field("motion", str),
+                    day=field("day", int),
+                    rep_index=field("rep_index", int),
                     fs=fs,
                 ),
             )

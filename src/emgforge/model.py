@@ -4,9 +4,11 @@ Architecture: 1x1 input projection, a stack of dilated causal blocks with
 gated activations and residual + skip paths, a skip sum feeding a causal
 sliding-window convolution for context aggregation, and a linear 1x1 output
 head (no final nonlinearity, so amplitude is unbounded). Dilation doubles
-per block. A streaming forward pass reproduces the batch output sample by
-sample from each dilated conv's input history and a plan folded from the
-weights: one tanh per gate, one matvec for skips, context and head.
+per block. A streaming forward pass reproduces the batch output within
+rounding from each dilated conv's input history and a plan folded from
+the weights: one tanh per gate, one product for skips, context and head.
+It takes one sample per step or a block of samples, run _BLOCK columns at
+a time, so its memory does not grow with the length of the input.
 """
 
 from __future__ import annotations
@@ -232,6 +234,9 @@ def forward(weights: ModelWeights, x) -> Tensor:
     return forward_parts(weights, x)[2]
 
 
+_BLOCK = 1024  # most columns the block path runs at once; sizes its buffers
+
+
 class _History:
     """The last `span` input vectors of one conv layer, oldest first.
 
@@ -256,37 +261,84 @@ class _History:
         self.pos = pos = (pos + 1) % span
         return self.buf[:, pos : pos + span]
 
+    def context(self) -> np.ndarray:
+        """The last `span - 1` inputs: the left context of the next one."""
+        return self.buf[:, self.pos + 1 : self.pos + self.span]
+
+    def load(self, last: np.ndarray) -> None:
+        """Make `last`, [channels x span] oldest first, the whole history.
+
+        The second half needs no copy: pushes rewrite it before it is read.
+        """
+        self.buf[:, : self.span] = last
+        self.pos = 0
+
     def reset(self) -> None:
         self.buf[:] = 0.0
         self.pos = 0
 
 
+def _rows(buf: np.ndarray, rows: int, n: int) -> np.ndarray:
+    """A contiguous [rows x n] view of the front of the flat buffer `buf`."""
+    return buf[: rows * n].reshape(rows, n)
+
+
 class StreamState:
-    """Sample-by-sample inference: per-block input histories and a stream plan.
+    """Causal inference in steps or blocks: per-block input histories and a plan.
 
-    The plan folds the weights for one step. Each dilated, residual and tail
-    matrix carries its bias as a last column, read against a constant 1. A
-    gated kernel's gate half is halved, so one tanh gives g' = tanh(a) *
-    (1 + tanh(b/2)) = 2g; the residual and tail weights take the other 1/2.
-    The skip 1x1s, the context conv and the head are linear: row m of the
-    [w x N*(C+1)] tail is what a step's gates add to the prediction m steps
-    ahead, summed into a buffer of future predictions.
+    The plan folds the weights into preallocated matrices. Each dilated,
+    residual and tail matrix carries its bias as a last column, read against
+    a constant 1. A gated kernel's gate half is halved, so one tanh gives
+    g' = tanh(a) * (1 + tanh(b/2)) = 2g; the residual and tail weights take
+    the other 1/2. The skip 1x1s, the context conv and the head are linear:
+    row m of the [w x N*(C+1)] tail is what a step's gates add to the
+    prediction m steps ahead, summed into a buffer of future predictions.
 
-    The plan is built from the weights on the first step after construction
-    or reset(), and again when a step is given another ModelWeights object,
+    A step reads its taps from the histories. A block of up to _BLOCK
+    samples runs the same plan on [channels x n] arrays, with each layer's
+    taps read from its history followed by the block, and leaves the
+    histories and future predictions as the same samples fed one by one
+    would. So steps, blocks and reset() interleave freely.
+
+    The plan is built from the weights on the first call after construction
+    or reset(), and again when a call is given another ModelWeights object,
     so in-place edits to the weights take effect after reset().
     """
 
     def __init__(self, config: ModelConfig):
         self.config = config
         k, c, w = config.kernel_size, config.residual_channels, config.context_window
+        n_blocks, n_in = config.num_blocks, config.in_channels
         self.block_histories = [_History(c, (k - 1) * d + 1) for d in config.dilations()]
         self.gated = config.activation == "gated"
         self.pre = np.empty(2 * c if self.gated else c)
         self.taps = np.ones(c * k + 1)  # a dilated conv's taps, then the constant 1
         self.views = (self.taps[:-1].reshape(c, k), self.pre[:c], self.pre[c:])
-        self.gates = np.ones(config.num_blocks * (c + 1))  # block i: [g'_i, 1]
+        self.gates = np.ones(n_blocks * (c + 1))  # block i: [g'_i, 1]
         self.future = np.zeros(2 * w)  # [pos, pos + w) holds predictions t .. t+w-1
+
+        # The plan, filled in place by _build_plan.
+        self.offset, self.scale = np.empty(n_in), np.empty(n_in)
+        self.input_w, self.input_b = np.empty((c, n_in)), np.empty(c)
+        self.dilated = np.empty((n_blocks, len(self.pre), c * k + 1))
+        self.residual = np.empty((n_blocks - 1, c, c + 1))  # the last block's is never read
+        self.skips = np.empty((config.skip_channels, n_blocks, c + 1))
+        self.tail = np.empty((w, n_blocks * (c + 1)))
+        self.blocks = []
+        for i, hist in enumerate(self.block_histories):
+            g1 = self.gates[i * (c + 1) : (i + 1) * (c + 1)]
+            residual = self.residual[i] if i < n_blocks - 1 else None
+            self.blocks.append((hist, 2**i, self.dilated[i], g1[:c], g1, residual))
+
+        # Block-path buffers, flat so that any width up to _BLOCK views them
+        # contiguously. `lead` columns ahead of the block hold the widest
+        # layer's left context.
+        self.lead = self.block_histories[-1].span - 1
+        self.block_z = np.empty(c * (self.lead + _BLOCK))
+        self.block_taps = np.empty((c * k + 1) * _BLOCK)
+        self.block_pre = np.empty(len(self.pre) * _BLOCK)
+        self.block_gates = np.empty(len(self.gates) * _BLOCK)
+        self.block_sums = np.empty(w + _BLOCK)
         self.reset()
 
     def reset(self) -> None:
@@ -301,36 +353,96 @@ class StreamState:
             raise StreamStateError(f"stream state built for {self.config}, model expects {cfg}")
         c = self.config.residual_channels
         half = 0.5 if self.gated else 1.0  # g = half * g'
-        self.offset, self.scale = weights.input_offset.copy(), weights.input_scale.copy()
-        self.input_w = weights.input_proj.weights[:, :, 0].copy()
-        self.input_b = weights.input_proj.bias.copy()
-        self.blocks = []
-        for i, (blk, hist) in enumerate(zip(weights.blocks, self.block_histories)):
-            dilated = np.c_[blk.dilated.weights.reshape(len(self.pre), -1), blk.dilated.bias]
+        self.offset[:], self.scale[:] = weights.input_offset, weights.input_scale
+        self.input_w[:] = weights.input_proj.weights[:, :, 0]
+        self.input_b[:] = weights.input_proj.bias
+        for i, blk in enumerate(weights.blocks):
+            dilated = self.dilated[i]
+            dilated[:, :-1] = blk.dilated.weights.reshape(len(self.pre), -1)
+            dilated[:, -1] = blk.dilated.bias
             dilated[c:] *= half
-            g1 = self.gates[i * (c + 1) : (i + 1) * (c + 1)]  # [g'_i, 1]
-            residual = None  # the last block's residual output is never read
-            if blk is not weights.blocks[-1]:
-                residual = np.c_[blk.residual.weights[:, :, 0] * half, blk.residual.bias]
-            self.blocks.append((hist, blk.dilated.dilation, dilated, g1[:c], g1, residual))
-        skips = np.hstack(
-            [np.c_[blk.skip.weights[:, :, 0] * half, blk.skip.bias] for blk in weights.blocks]
-        )
+            if i < len(self.residual):
+                np.multiply(blk.residual.weights[:, :, 0], half, out=self.residual[i, :, :c])
+                self.residual[i, :, c] = blk.residual.bias
+            np.multiply(blk.skip.weights[:, :, 0], half, out=self.skips[:, i, :c])
+            self.skips[:, i, c] = blk.skip.bias
         head = weights.output_proj.weights[0, :, 0]
-        self.tail = np.einsum("o,oit->ti", head, weights.context.weights)[::-1] @ skips
+        context = np.einsum("o,oit->ti", head, weights.context.weights)[::-1]
+        np.matmul(context, self.skips.reshape(len(self.skips), -1), out=self.tail)
         self.const = float(head @ weights.context.bias + weights.output_proj.bias[0])
         self.source = weights
 
 
-def forward_streaming(weights: ModelWeights, state: StreamState, sample) -> float:
-    """One causal step; returns the prediction for the current sample.
+def _forward_block(state: StreamState, x: np.ndarray, out: np.ndarray) -> None:
+    """Write the predictions for the n <= _BLOCK columns of `x` into `out`.
 
-    Feeding a sequence one sample at a time reproduces forward() on the
-    full history within rounding; the state is updated in place.
+    Every block's [g'; 1] rows stack into one [N*(C+1) x n] array, so one
+    tail product gives each column's contributions to its next w
+    predictions, which w shifted adds fold into the outputs.
+    """
+    n = x.shape[1]
+    c, k = state.config.residual_channels, state.config.kernel_size
+    lead, w = state.lead, state.config.context_window
+    padded = _rows(state.block_z, c, lead + n)
+    z = padded[:, lead:]
+    np.matmul(state.input_w, (x - state.offset[:, None]) * state.scale[:, None], out=z)
+    z += state.input_b[:, None]
+
+    stacked = _rows(state.block_taps, c * k + 1, n)  # tap j of channel i in row i*k + j
+    stacked[-1] = 1.0
+    taps = stacked[:-1].reshape(c, k, n)
+    pre = _rows(state.block_pre, len(state.pre), n)
+    gates = _rows(state.block_gates, len(state.gates), n)
+    gates[c :: c + 1] = 1.0
+    for i, (hist, dilation, dilated, _, _, residual) in enumerate(state.blocks):
+        seen = padded[:, lead - hist.span + 1 :]  # the layer's context, then the block
+        seen[:, : hist.span - 1] = hist.context()
+        for j in range(k):
+            taps[:, j] = seen[:, j * dilation : j * dilation + n]
+        np.matmul(dilated, stacked, out=pre)
+        g1 = gates[i * (c + 1) : (i + 1) * (c + 1)]
+        if state.gated:
+            np.tanh(pre, out=pre)
+            pre[c:] += 1.0
+            np.multiply(pre[:c], pre[c:], out=g1[:c])
+        else:
+            np.maximum(pre, 0.0, out=g1[:c])
+        hist.load(seen[:, -hist.span :])
+        if residual is not None:
+            z += residual @ g1
+
+    # sums[t] gathers prediction t of the block; [n, n + w) becomes the future.
+    sums = state.block_sums[: n + w]
+    sums[:w] = state.future[state.pos : state.pos + w]
+    sums[w:] = 0.0
+    contributions = state.tail @ gates
+    for m in range(w - 1, -1, -1):  # oldest contribution first, as the step adds them
+        sums[m : m + n] += contributions[m]
+    np.add(sums[:n], state.const, out=out)
+    state.future[:w] = sums[n:]
+    state.future[w:] = 0.0
+    state.pos = 0
+
+
+def forward_streaming(weights: ModelWeights, state: StreamState, sample):
+    """Causal inference on the state, which is updated in place.
+
+    A sample vector takes one step and returns its prediction as a float.
+    An [in_channels x n] block returns its n predictions, computed
+    _BLOCK columns at a time. Either way, feeding a sequence in any split
+    reproduces forward() on the full history within rounding.
     """
     if state.source is not weights:
         state._build_plan(weights)
-    v = np.asarray(sample, dtype=np.float64).ravel()
+    v = np.asarray(sample, dtype=np.float64)
+    if v.ndim == 2:
+        if v.shape[0] != state.offset.size:
+            raise ShapeError(f"expected a {state.offset.size}-row block, got shape {v.shape}")
+        out = np.empty(v.shape[1])
+        for lo in range(0, v.shape[1], _BLOCK):
+            _forward_block(state, v[:, lo : lo + _BLOCK], out[lo : lo + _BLOCK])
+        return out
+    v = v.ravel()
     if v.shape != state.offset.shape:
         raise ShapeError(f"expected a {state.offset.size}-vector sample, got shape {v.shape}")
 

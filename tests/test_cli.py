@@ -381,15 +381,20 @@ class TestTrainEvalBench:
         first = preds[0].read_text().splitlines()
         assert first[0] == "t,true,predicted"
 
-    def test_eval_runs_forward_once_per_segment(self, data_dir, run_dir, tmp_path, monkeypatch):
-        calls = []
-        forward = training.forward
+    def test_eval_streams_each_segment_once(self, data_dir, run_dir, tmp_path, monkeypatch):
+        calls = {"forward": 0, "forward_streaming": 0}
 
-        def counting_forward(*args, **kwargs):
-            calls.append(1)
-            return forward(*args, **kwargs)
+        def counting(name):
+            fn = getattr(training, name)
 
-        monkeypatch.setattr(training, "forward", counting_forward)
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(training, name, counting(name))
         report = tmp_path / "report.csv"
         rc = cli.main(
             [
@@ -405,7 +410,7 @@ class TestTrainEvalBench:
         assert rc == 0
         segments = json.loads(report.with_suffix(".meta.json").read_text())["segments"]
         assert segments == 14
-        assert len(calls) == segments
+        assert calls == {"forward": 0, "forward_streaming": segments}
 
     def test_eval_config_mismatch_exit(self, data_dir, run_dir, tmp_path):
         other = tmp_path / "other.ini"
@@ -471,6 +476,15 @@ class TestTrainEvalBench:
             ["stream-bench", "--ckpt", str(run_dir / "model.ckpt"), "--seconds", "0"]
         )
         assert rc == cli.EXIT_USAGE
+
+    def test_stream_bench_seconds_without_samples_rejected(self, run_dir, capsys):
+        rc = cli.main(
+            ["stream-bench", "--ckpt", str(run_dir / "model.ckpt"), "--seconds", "0.0004"]
+        )
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: --seconds 0.0004 gives no samples")
+        assert err.count("error:") == 1
 
     @pytest.mark.parametrize("seconds", ["nan", "inf"])
     def test_stream_bench_nonfinite_seconds_rejected(self, run_dir, capsys, seconds):

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 from unittest import mock
 
@@ -591,6 +592,28 @@ class TestUnifiedDataset:
         path.write_text("".join(lines))
         with pytest.raises(SchemaError, match="data row 3 "):
             dataio.read_segments(path)
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda info: info.clear(), "fs"),
+            (lambda info: info["segments"][1].pop("start"), "start"),
+            (lambda info: info["segments"][1].update(start="x"), "start"),
+        ],
+        ids=["empty_sidecar", "entry_without_start", "start_not_a_number"],
+    )
+    def test_bad_sidecar_names_file_and_key(self, tmp_path, edit, key):
+        rec, _ = synthgen.generate_recording(synthgen.MotionProfile(n_reps=2), seed=8)
+        path = tmp_path / "segments.csv"
+        dataio.write_segments(dataio.build_segments(rec), path)
+        sidecar = tmp_path / "segments.meta.json"
+        info = json.loads(sidecar.read_text())
+        edit(info)
+        sidecar.write_text(json.dumps(info))
+        with pytest.raises(SchemaError) as caught:
+            dataio.read_segments(path)
+        assert str(sidecar) in str(caught.value)
+        assert key in str(caught.value)
 
     def test_raw_recording_round_trip(self, tmp_path):
         rec, _ = synthgen.generate_recording(synthgen.MotionProfile(n_reps=2), seed=9)

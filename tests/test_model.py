@@ -253,6 +253,12 @@ class TestStreaming:
         with pytest.raises(ShapeError):
             M.forward_streaming(w, M.StreamState(TINY), np.zeros(5))
 
+    @pytest.mark.parametrize("shape", [(5, 3), (3, 6)])
+    def test_bad_block_shape_rejected(self, shape):
+        w = M.init_weights(TINY, seed=21)
+        with pytest.raises(ShapeError):
+            M.forward_streaming(w, M.StreamState(TINY), np.zeros(shape))
+
     def test_in_place_edit_takes_effect_after_reset(self):
         cfg = M.ModelConfig(
             kernel_size=2, num_blocks=3, residual_channels=4, skip_channels=3, context_window=4
@@ -349,6 +355,63 @@ def test_streaming_matches_batch_random_configs(
         streamed = [M.forward_streaming(w, state, x[:, 0].tolist())]
         streamed += [M.forward_streaming(w, state, x[:, i]) for i in range(1, x.shape[1])]
         assert np.max(np.abs(np.array(streamed) - batch)) <= 1e-9
+        state.reset()
+
+
+# A stream split into runs of 1-D steps and blocks of random widths.
+_PIECES = st.one_of(
+    st.tuples(st.just("steps"), st.integers(1, 20)),
+    st.tuples(st.just("block"), st.one_of(st.integers(1, 9), st.integers(1, 2 * M._BLOCK + 3))),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    k=st.integers(2, 4),
+    n_blocks=st.integers(1, 4),
+    window=st.integers(1, 8),
+    activation=st.sampled_from(M.ACTIVATIONS),
+    out_channels=st.integers(1, 2),
+    pieces=st.lists(_PIECES, min_size=1, max_size=6),
+    reset_at=st.integers(0, 6),
+    seed=st.integers(0, 1000),
+)
+def test_block_streaming_matches_batch_over_random_partitions(
+    k, n_blocks, window, activation, out_channels, pieces, reset_at, seed
+):
+    cfg = M.ModelConfig(
+        kernel_size=k,
+        num_blocks=n_blocks,
+        residual_channels=4,
+        skip_channels=3,
+        context_window=window,
+        out_channels=out_channels,
+        activation=activation,
+    )
+    w = M.init_weights(cfg, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    w.input_offset[:] = rng.standard_normal(6)
+    w.input_scale[:] = rng.uniform(0.5, 2.0, 6)
+    for _, kern in w.named_kernels():
+        kern.bias[:] = rng.standard_normal(kern.bias.shape) * 0.1
+    state = M.StreamState(cfg)
+    for part in (pieces[:reset_at], pieces[reset_at:]):
+        x = rng.standard_normal((6, sum(size for _, size in part)))
+        streamed = []
+        for kind, size in part:
+            lo = len(streamed)
+            if kind == "block":
+                y = M.forward_streaming(w, state, x[:, lo : lo + size])
+                assert y.shape == (size,)
+                streamed.extend(y)
+            else:
+                for i in range(lo, lo + size):
+                    streamed.append(M.forward_streaming(w, state, x[:, i]))
+                    assert isinstance(streamed[-1], float)
+        if part:
+            with no_grad():
+                batch = M.forward(w, x).data[0]
+            assert np.max(np.abs(np.array(streamed) - batch)) <= 1e-9
         state.reset()
 
 

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -373,6 +374,32 @@ class TestEvaluate:
         w = init_weights(TINY_MODEL, seed=4)
         with pytest.raises(InsufficientDataError):
             tr.evaluate(w, [])
+
+    def test_predictions_match_forward_and_repeat_bytes(self):
+        split = tiny_split(length=2500)
+        w = init_weights(ModelConfig(), seed=5)
+        first = tr.predictions(w, split.train + split.test)
+        again = tr.predictions(w, split.train + split.test)
+        for (seg, pred), (_, repeat) in zip(first, again):
+            with no_grad():
+                want = forward(w, Tensor(seg.imu)).data[0]
+            assert np.max(np.abs(pred - want)) <= 1e-9
+            assert pred.tobytes() == repeat.tobytes()
+
+    def test_prediction_memory_does_not_grow_with_segment_length(self):
+        w = init_weights(ModelConfig(), seed=6)
+
+        def traced_peak(length):
+            segments = tiny_split(n_segments=1, length=length).test
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tr.predictions(w, segments)
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(40_000) <= 2 * traced_peak(4_000)
 
 
 class TestHistoryExport:
