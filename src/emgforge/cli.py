@@ -24,6 +24,7 @@ import numpy as np
 from . import dataio, metrics, synthgen, train as training
 from .config import RunConfig, load_run_config, segmenting_config
 from .errors import (
+    CheckpointError,
     ConfigError,
     DivergenceError,
     InsufficientDataError,
@@ -185,11 +186,19 @@ def cmd_eval(args) -> None:
     weights = load_weights(args.ckpt, expected_config=cfg.model if explicit else None)
     segments = _load_segments(Path(args.data), cfg, args.motion)
 
-    pairs = training.predictions(weights, segments)
-    report = metrics.report_from_pairs(
-        [(seg.segment_id, pred, seg.target) for seg, pred in pairs],
-        include_dc=not args.no_dc,
-    )
+    # Finite weights can still overflow; such a report is refused, not written.
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairs = training.predictions(weights, segments)
+        report = metrics.report_from_pairs(
+            [(seg.segment_id, pred, seg.target) for seg, pred in pairs],
+            include_dc=not args.no_dc,
+        )
+    for row in report.rows:
+        for name in metrics.METRIC_NAMES:
+            if not math.isfinite(getattr(row, name)):
+                raise CheckpointError(
+                    f"{args.ckpt}: its weights give a non-finite {name} on {row.segment_id}"
+                )
 
     report_path = Path(args.report)
     report_path.parent.mkdir(parents=True, exist_ok=True)

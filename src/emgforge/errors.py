@@ -78,4 +78,5 @@ class StreamMismatchError(PipelineError):
 
 
 class CheckpointError(PipelineError):
-    """Checkpoint file unreadable, truncated, or config-incompatible."""
+    """Checkpoint file unreadable, truncated, or config-incompatible, or its
+    weights give non-finite predictions or metrics."""

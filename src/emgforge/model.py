@@ -4,11 +4,14 @@ Architecture: 1x1 input projection, a stack of dilated causal blocks with
 gated activations and residual + skip paths, a skip sum feeding a causal
 sliding-window convolution for context aggregation, and a linear 1x1 output
 head (no final nonlinearity, so amplitude is unbounded). Dilation doubles
-per block. A streaming forward pass reproduces the batch output within
-rounding from each dilated conv's input history and a plan folded from
-the weights: one tanh per gate, one product for skips, context and head.
-It takes one sample per step or a block of samples, run _BLOCK columns at
-a time, so its memory does not grow with the length of the input.
+per block. The skips, context conv and head are linear, so the batch pass
+runs them as one folded op (tensor.readout) on the same lag fold of head
+and context that the stream plan's tail is built from. A streaming
+forward pass reproduces the batch output within rounding from each
+dilated conv's input history and a plan folded from the weights: one tanh
+per gate, one product for skips, context and head. It takes one sample
+per step or a block of samples, run _BLOCK columns at a time, so its
+memory does not grow with the length of the input.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ from .tensor import (
     conv1d_causal,
     gated_activation,
     he_uniform_init,
+    lag_fold,
+    readout,
     relu,
     scale_channels,
 )
@@ -206,8 +211,8 @@ def _activate(pre: Tensor, activation: str) -> Tensor:
     return gated_activation(pre) if activation == "gated" else relu(pre)
 
 
-def forward_parts(weights: ModelWeights, x) -> tuple[Tensor, Tensor, Tensor]:
-    """Forward pass returning (skip_sum, context, output) tensors."""
+def forward(weights: ModelWeights, x) -> Tensor:
+    """Full-sequence forward pass: [in_channels x T] -> [out_channels x T]."""
     cfg = weights.config
     x = as_tensor(x)
     if x.data.shape[0] != cfg.in_channels:
@@ -217,21 +222,15 @@ def forward_parts(weights: ModelWeights, x) -> tuple[Tensor, Tensor, Tensor]:
     z = conv1d_causal(
         scale_channels(x, weights.input_offset, weights.input_scale), weights.input_proj
     )
-    skip_sum = None
+    gates = []
     last = weights.blocks[-1]
     for blk in weights.blocks:
         g = _activate(conv1d_causal(z, blk.dilated), cfg.activation)
-        s = conv1d_causal(g, blk.skip)
-        skip_sum = s if skip_sum is None else add(skip_sum, s)
+        gates.append(g)
         if blk is not last:  # the last block's residual output is never read
             z = add(z, conv1d_causal(g, blk.residual))
-    context = conv1d_causal(skip_sum, weights.context)
-    return skip_sum, context, conv1d_causal(context, weights.output_proj)
-
-
-def forward(weights: ModelWeights, x) -> Tensor:
-    """Full-sequence forward pass: [in_channels x T] -> [out_channels x T]."""
-    return forward_parts(weights, x)[2]
+    skips = [blk.skip for blk in weights.blocks]
+    return readout(gates, skips, weights.context, weights.output_proj)
 
 
 _BLOCK = 1024  # most columns the block path runs at once; sizes its buffers
@@ -366,9 +365,9 @@ class StreamState:
                 self.residual[i, :, c] = blk.residual.bias
             np.multiply(blk.skip.weights[:, :, 0], half, out=self.skips[:, i, :c])
             self.skips[:, i, c] = blk.skip.bias
+        fold = lag_fold(weights.context, weights.output_proj)[:, 0]  # output channel 0
+        np.matmul(fold, self.skips.reshape(len(self.skips), -1), out=self.tail)
         head = weights.output_proj.weights[0, :, 0]
-        context = np.einsum("o,oit->ti", head, weights.context.weights)[::-1]
-        np.matmul(context, self.skips.reshape(len(self.skips), -1), out=self.tail)
         self.const = float(head @ weights.context.bias + weights.output_proj.bias[0])
         self.source = weights
 

@@ -2,9 +2,10 @@
 
 Shapes are [channels x time]; scalars are (1, 1). The op set is exactly
 what a dilated-causal-convolution regressor needs: causal conv, gated and
-relu activations, elementwise arithmetic, full reductions, and an Adam
-step. Everything is float64 numpy with a fixed reduction order, so a given
-input always produces bit-identical results.
+relu activations, the folded skip -> context -> head readout, elementwise
+arithmetic, full reductions, and an Adam step. Everything is float64 numpy
+with a fixed reduction order, so a given input always produces
+bit-identical results.
 
 An op run while gradients are enabled records its inputs, its backward
 function and a creation number on its output. backward(loss) runs the ops
@@ -131,6 +132,14 @@ class ConvKernel:
     def shared(self) -> "ConvKernel":
         """A kernel on the same weight and bias arrays with its own gradients."""
         return ConvKernel(self.weights, self.bias, self.dilation)
+
+
+def _kernel_grads(kernel: ConvKernel) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's gradient arrays, zero-filled on first use."""
+    if kernel.grad_weights is None:
+        kernel.grad_weights = np.zeros_like(kernel.weights)
+        kernel.grad_bias = np.zeros_like(kernel.bias)
+    return kernel.grad_weights, kernel.grad_bias
 
 
 def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
@@ -297,12 +306,10 @@ def conv1d_causal(x: Tensor, kernel: ConvKernel) -> Tensor:
 
     def backward(out):
         g = out.grad
-        if kernel.grad_weights is None:
-            kernel.grad_weights = np.zeros_like(kernel.weights)
-            kernel.grad_bias = np.zeros_like(kernel.bias)
+        grad_weights, grad_bias = _kernel_grads(kernel)
         for j in range(k):
-            kernel.grad_weights[:, :, j] += g @ xp[:, j * d : j * d + t_len].T
-        kernel.grad_bias += g.sum(axis=1)
+            grad_weights[:, :, j] += g @ xp[:, j * d : j * d + t_len].T
+        grad_bias += g.sum(axis=1)
         if x.requires_grad and not pad:
             _accumulate(x, kernel.weights[:, :, 0].T @ g)
         elif x.requires_grad:
@@ -312,6 +319,87 @@ def conv1d_causal(x: Tensor, kernel: ConvKernel) -> Tensor:
             _accumulate(x, gxp[:, pad:])
 
     return _result(out_data, (x,), backward, requires=True)
+
+
+def lag_fold(context: ConvKernel, head: ConvKernel) -> np.ndarray:
+    """[w x O x S]: A[m] = head . (context tap w-1-m), the linear map from
+    the skip sum at t - m to the output at t, for a 1x1 head."""
+    return np.einsum("os,sit->toi", head.weights[:, :, 0], context.weights)[::-1]
+
+
+def readout(gates, skips, context: ConvKernel, head: ConvKernel) -> Tensor:
+    """head(context(sum_i skip_i(gates[i]))) as one op: 1x1 skips, a causal
+    context conv with dilation 1 and a 1x1 head.
+
+    All of it is linear, so block i's skip folds into one [w*O x C] tail,
+    tail_i = A @ W_i with A the lag fold stacked [w*O x S]. Row block m of
+    P = sum_i tail_i @ g_i + A @ sum_i b_i holds each column's contribution
+    to the output m steps later: y[:, t] = const + sum_m P_m[:, t - m] over
+    t - m >= 0, which is the context conv's zero left padding of the skip
+    sum, biases included. const = head . context bias + head bias.
+    """
+    n_blocks, s_ch = len(gates), context.weights.shape[0]
+    if n_blocks == 0 or n_blocks != len(skips):
+        raise ShapeError(f"readout needs one skip kernel per gate, got {n_blocks} and {len(skips)}")
+    t_len = gates[0].data.shape[1]
+    for g, kern in zip(gates, skips):
+        if kern.weights.shape != (s_ch, g.data.shape[0], 1) or g.data.shape[1] != t_len:
+            raise ShapeError(
+                f"skip kernel {kern.weights.shape} does not map gates {g.data.shape} "
+                f"to {s_ch} channels over {t_len} samples"
+            )
+    if context.weights.shape[1] != s_ch or context.dilation != 1:
+        raise ShapeError(f"context kernel {context.weights.shape} must be [S x S x w], dilation 1")
+    if head.weights.shape[1:] != (s_ch, 1):
+        raise ShapeError(f"head kernel {head.weights.shape} must be [O x {s_ch} x 1]")
+    w, n_out = context.size, head.weights.shape[0]
+    head_w = head.weights[:, :, 0]
+    fold = lag_fold(context, head).reshape(w * n_out, s_ch)
+    tails = [fold @ kern.weights[:, :, 0] for kern in skips]
+    bias_sum = np.sum([kern.bias for kern in skips], axis=0)
+
+    parts = tails[0] @ gates[0].data
+    for tail, g in zip(tails[1:], gates[1:]):
+        parts += tail @ g.data
+    parts += (fold @ bias_sum)[:, None]
+    parts = parts.reshape(w, n_out, t_len)
+    out_data = np.empty((n_out, t_len))
+    out_data[:] = (head_w @ context.bias + head.bias)[:, None]
+    for m in range(min(w, t_len)):
+        out_data[:, m:] += parts[m, :, : t_len - m]
+
+    def backward(out):
+        # P's gradient is `lags`, the w shifted copies of gy; the tails' and
+        # gates' gradients are its products with g_i and tail_i, and the
+        # skip, context and head gradients follow from the tails' by the
+        # chain rule through tail_i = A @ W_i and the lag fold.
+        gy = out.grad
+        lags = np.zeros((w, n_out, t_len))  # lags[m, :, t - m] = gy[:, t]
+        for m in range(min(w, t_len)):
+            lags[m, :, : t_len - m] = gy[:, m:]
+        lags = lags.reshape(w * n_out, t_len)
+        lag_sum = lags.sum(axis=1)
+        bias_grad = fold.T @ lag_sum
+        d_fold = np.outer(lag_sum, bias_sum)
+        for g, kern, tail in zip(gates, skips, tails):
+            d_tail = lags @ g.data.T
+            grad_weights, grad_bias = _kernel_grads(kern)
+            grad_weights[:, :, 0] += fold.T @ d_tail
+            grad_bias += bias_grad
+            d_fold += d_tail @ kern.weights[:, :, 0].T
+            if g.requires_grad:
+                _accumulate(g, tail.T @ lags)
+        d_taps = d_fold.reshape(w, n_out, s_ch)[::-1]  # indexed by context tap
+        gy_sum = gy.sum(axis=1)
+        grad_weights, grad_bias = _kernel_grads(context)
+        grad_weights += np.einsum("os,toi->sit", head_w, d_taps)
+        grad_bias += head_w.T @ gy_sum
+        grad_weights, grad_bias = _kernel_grads(head)
+        grad_weights[:, :, 0] += np.einsum("toi,sit->os", d_taps, context.weights)
+        grad_weights[:, :, 0] += np.outer(gy_sum, context.bias)
+        grad_bias += gy_sum
+
+    return _result(out_data, tuple(gates), backward, requires=True)
 
 
 def backward(loss: Tensor) -> None:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from emgforge import cli, dataio
 from emgforge.config import RunConfig
+from emgforge.model import load_weights, save_weights
 
 TINY_CONFIG = """
 [model]
@@ -204,7 +205,7 @@ def test_motion_filter_without_match_names_the_motion(data, mixed_motions, tmp_p
 
 
 # ---------------------------------------------------------------------------
-# Fuzz: mutated sidecar, run.json and INI bytes, and numeric flags.
+# Fuzz: mutated sidecar, run.json, INI and checkpoint bytes, and numeric flags.
 # ---------------------------------------------------------------------------
 
 SMALL_FLOATS = st.one_of(
@@ -325,3 +326,40 @@ def test_fuzz_numeric_flags(data, reps, sessions, noise, seconds, seed):
         rc, err = run_cli("stream-bench", "--ckpt", data / "run" / "m.ckpt",
                           "--seconds", seconds, "--seed", seed)
     assert_documented_failure(rc, err)
+
+
+def checkpoint_regions(raw: bytes) -> dict:
+    """Byte ranges of a checkpoint: magic, header length and header; then the blobs."""
+    header_end = 12 + int.from_bytes(raw[8:12], "little")
+    return {"header": (0, header_end), "blob": (header_end, len(raw))}
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(region=st.sampled_from(["header", "blob"]), edits=BYTE_EDITS)
+def test_fuzz_checkpoint_bytes(data, region, edits):
+    work = data / "fuzz_ckpt"
+    shutil.rmtree(work, ignore_errors=True)
+    ckpt = checkpoint_copy(data, work, (data / "run" / "m.run.json").read_bytes())
+    raw = ckpt.read_bytes()
+    lo, hi = checkpoint_regions(raw)[region]
+    ckpt.write_bytes(raw[:lo] + mutated(raw[lo:hi], edits) + raw[hi:])
+    rc, err = run_cli("eval", "--data", data / "data", "--ckpt", ckpt,
+                      "--report", work / "report.csv")
+    assert_documented_failure(rc, err)
+    if rc == 0:
+        rows = (work / "report.csv").read_text().splitlines()[1:]
+        assert all(math.isfinite(float(v)) for row in rows for v in row.split(",")[1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc, err = run_cli("stream-bench", "--ckpt", ckpt, "--seconds", "0.2")
+    assert_documented_failure(rc, err)
+
+
+def test_eval_refuses_checkpoint_that_overflows(data, tmp_path):
+    ckpt = checkpoint_copy(data, tmp_path, (data / "run" / "m.run.json").read_bytes())
+    weights = load_weights(ckpt)
+    weights.output_proj.bias[:] = 1e300  # finite, but its squared error is not
+    save_weights(weights, ckpt)
+    rc, err = run_cli("eval", "--data", data / "data", "--ckpt", ckpt,
+                      "--report", tmp_path / "report.csv")
+    assert_one_error(rc, err, 2, "non-finite mse", "m.ckpt")
+    assert not (tmp_path / "report.csv").exists()

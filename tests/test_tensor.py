@@ -191,6 +191,105 @@ def test_conv_bit_identical_to_loop(k, d, seed):
     assert np.array_equal(xt.grad, want_gx)
 
 
+def unfused_readout(gates, skips, context, head):
+    """The skip 1x1s, their sum, the context conv and the head as separate
+    ops: the reference that readout folds."""
+    total = None
+    for g, kern in zip(gates, skips):
+        s = conv1d_causal(g, kern)
+        total = s if total is None else add(total, s)
+    return conv1d_causal(conv1d_causal(total, context), head)
+
+
+def readout_case(seed, activation, n_out, t_len, blocks=3, c=4, s=3, window=5):
+    """Pre-activations, skip/context/head kernels and a target, all random."""
+    rng = np.random.default_rng(seed)
+    pre_ch = 2 * c if activation == "gated" else c
+    pre = [rng.standard_normal((pre_ch, t_len)) for _ in range(blocks)]
+    skips = [ConvKernel(rng.standard_normal((s, c, 1)), rng.standard_normal(s)) for _ in pre]
+    context = ConvKernel(rng.standard_normal((s, s, window)), rng.standard_normal(s))
+    head = ConvKernel(rng.standard_normal((n_out, s, 1)), rng.standard_normal(n_out))
+    return pre, skips, context, head, rng.standard_normal((n_out, t_len))
+
+
+def readout_grads(op, activation, pre, skips, context, head, target):
+    """op's output and the gradients of sum(output * target) on fresh kernels."""
+    kernels = [k.copy() for k in (*skips, context, head)]
+    inputs = [Tensor(p, requires_grad=True) for p in pre]
+    activate = gated_activation if activation == "gated" else relu
+    y = op([activate(x) for x in inputs], kernels[:-2], *kernels[-2:])
+    backward(sum_all(mul(y, Tensor(target))))
+    grads = [g for k in kernels for g in (k.grad_weights, k.grad_bias)]
+    return y.data, grads + [x.grad for x in inputs]
+
+
+class TestReadout:
+    @pytest.mark.parametrize("activation", ["gated", "relu"])
+    @pytest.mark.parametrize("n_out", [1, 2])
+    @pytest.mark.parametrize("t_len", [1, 3, 64])  # 1 and 3 are shorter than the window
+    def test_matches_unfused_chain(self, activation, n_out, t_len):
+        case = readout_case(t_len + n_out, activation, n_out, t_len)
+        got, got_grads = readout_grads(T.readout, activation, *case)
+        want, want_grads = readout_grads(unfused_readout, activation, *case)
+        assert got.shape == (n_out, t_len)
+        for a, b in zip([got, *got_grads], [want, *want_grads]):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    def test_gradients_match_finite_differences(self):
+        pre, skips, context, head, target = readout_case(
+            7, "gated", n_out=2, t_len=12, blocks=2, c=2, s=3, window=4
+        )
+
+        def loss_value(inputs):
+            gates = [gated_activation(x) for x in inputs]
+            diff = sub(T.readout(gates, skips, context, head), Tensor(target))
+            return mean_all(mul(diff, diff))
+
+        inputs = [Tensor(p, requires_grad=True) for p in pre]
+        backward(loss_value(inputs))
+        checked = [(k.weights, k.grad_weights) for k in (*skips, context, head)]
+        checked += [(k.bias, k.grad_bias) for k in (*skips, context, head)]
+        checked += [(p, x.grad) for p, x in zip(pre, inputs)]
+        h = 1e-6
+        for array, grad in checked:
+            flat = array.ravel()
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + h
+                up = loss_value([Tensor(p) for p in pre]).data[0, 0]
+                flat[i] = orig - h
+                dn = loss_value([Tensor(p) for p in pre]).data[0, 0]
+                flat[i] = orig
+                fd = (up - dn) / (2 * h)
+                ad = grad.ravel()[i]
+                assert abs(ad - fd) <= 1e-6 * max(abs(ad), abs(fd), 1e-3)
+
+    @pytest.mark.parametrize(
+        "change",
+        ["no_gates", "one_skip_missing", "skip_k2", "gates_unequal_length", "context_dilated",
+         "context_not_square", "head_k2"],
+    )
+    def test_bad_shapes_rejected(self, change):
+        pre, skips, context, head, _ = readout_case(0, "relu", 1, 10)
+        gates = [Tensor(p) for p in pre]
+        if change == "no_gates":
+            gates, skips = [], []
+        elif change == "one_skip_missing":
+            skips = skips[:-1]
+        elif change == "skip_k2":
+            skips[0] = ConvKernel(np.zeros((3, 4, 2)), np.zeros(3))
+        elif change == "gates_unequal_length":
+            gates[1] = Tensor(pre[1][:, :9])
+        elif change == "context_dilated":
+            context = ConvKernel(context.weights, context.bias, 2)
+        elif change == "context_not_square":
+            context = ConvKernel(np.zeros((3, 2, 5)), np.zeros(3))
+        else:
+            head = ConvKernel(np.zeros((1, 3, 2)), np.zeros(1))
+        with pytest.raises(ShapeError):
+            T.readout(gates, skips, context, head)
+
+
 class TestBackward:
     def test_sum_of_squares_gradient(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
