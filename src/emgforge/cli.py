@@ -188,11 +188,7 @@ def cmd_eval(args) -> None:
 
     # Finite weights can still overflow; such a report is refused, not written.
     with np.errstate(over="ignore", invalid="ignore"):
-        pairs = training.predictions(weights, segments)
-        report = metrics.report_from_pairs(
-            [(seg.segment_id, pred, seg.target) for seg, pred in pairs],
-            include_dc=not args.no_dc,
-        )
+        report = training.evaluate(weights, segments, include_dc=not args.no_dc)
     for row in report.rows:
         for name in metrics.METRIC_NAMES:
             if not math.isfinite(getattr(row, name)):
@@ -218,7 +214,7 @@ def cmd_eval(args) -> None:
 
     pred_dir = report_path.with_name(report_path.stem + "_predictions")
     pred_dir.mkdir(parents=True, exist_ok=True)
-    for seg, pred in pairs:
+    for seg, pred in report.pairs:
         with open(pred_dir / f"{seg.segment_id}.csv", "w") as fh:
             fh.write("t,true,predicted\n")
             rows = zip(range(seg.bounds.start, seg.bounds.end), seg.target.tolist(), pred.tolist())
@@ -227,7 +223,7 @@ def cmd_eval(args) -> None:
     if args.plots:
         plots_dir = Path(args.plots)
         plots_dir.mkdir(parents=True, exist_ok=True)
-        for seg, pred in pairs:
+        for seg, pred in report.pairs:
             _write_overlay_svg(
                 plots_dir / f"{seg.segment_id}.svg", seg.target, pred, seg.segment_id
             )

@@ -7,11 +7,13 @@ head (no final nonlinearity, so amplitude is unbounded). Dilation doubles
 per block. The skips, context conv and head are linear, so the batch pass
 runs them as one folded op (tensor.readout) on the same lag fold of head
 and context that the stream plan's tail is built from. A streaming
-forward pass reproduces the batch output within rounding from each
-dilated conv's input history and a plan folded from the weights: one tanh
-per gate, one product for skips, context and head. It takes one sample
-per step or a block of samples, run _BLOCK columns at a time, so its
-memory does not grow with the length of the input.
+forward pass reproduces the batch output within rounding from one store
+of every block's recent inputs and a plan folded from the weights. A
+step gathers all history taps in one indexed read, then runs each block
+as one product and its activation, and adds one product for skips,
+context and head. It takes one sample per step or a block of samples,
+run _BLOCK columns at a time, so its memory does not grow with the
+length of the input.
 """
 
 from __future__ import annotations
@@ -236,128 +238,132 @@ def forward(weights: ModelWeights, x) -> Tensor:
 _BLOCK = 1024  # most columns the block path runs at once; sizes its buffers
 
 
-class _History:
-    """The last `span` input vectors of one conv layer, oldest first.
-
-    A [channels x 2*span] line buffer: each vector is written twice, `span`
-    columns apart, so the newest `span` vectors are always one contiguous
-    view. Unwritten history reads as zero, matching the batch pass's left
-    padding.
-    """
-
-    __slots__ = ("buf", "pos", "span")
-
-    def __init__(self, channels: int, span: int):
-        self.buf = np.zeros((channels, 2 * span))
-        self.pos = 0
-        self.span = span
-
-    def push(self, v: np.ndarray) -> np.ndarray:
-        """Append `v` and return the last `span` inputs, `v` in the last column."""
-        pos, span = self.pos, self.span
-        self.buf[:, pos] = v
-        self.buf[:, pos + span] = v
-        self.pos = pos = (pos + 1) % span
-        return self.buf[:, pos : pos + span]
-
-    def context(self) -> np.ndarray:
-        """The last `span - 1` inputs: the left context of the next one."""
-        return self.buf[:, self.pos + 1 : self.pos + self.span]
-
-    def load(self, last: np.ndarray) -> None:
-        """Make `last`, [channels x span] oldest first, the whole history.
-
-        The second half needs no copy: pushes rewrite it before it is read.
-        """
-        self.buf[:, : self.span] = last
-        self.pos = 0
-
-    def reset(self) -> None:
-        self.buf[:] = 0.0
-        self.pos = 0
-
-
 def _rows(buf: np.ndarray, rows: int, n: int) -> np.ndarray:
     """A contiguous [rows x n] view of the front of the flat buffer `buf`."""
     return buf[: rows * n].reshape(rows, n)
 
 
 class StreamState:
-    """Causal inference in steps or blocks: per-block input histories and a plan.
+    """Causal inference in steps or blocks: one history store and a plan.
+
+    The history store is a tape of [2L x N x C] rows, L = (k-1)2^(N-1) the
+    widest dilated conv's reach. Rows [cursor - L, cursor) hold every
+    block's input z at the last L times, oldest first; before the stream
+    began they read zero, the batch pass's left padding. New rows go in at
+    the cursor, and when the tape is full its last L rows are copied to the
+    front, so its size is set by the receptive field, not the stream.
 
     The plan folds the weights into preallocated matrices. Each dilated,
     residual and tail matrix carries its bias as a last column, read against
     a constant 1. A gated kernel's gate half is halved, so one tanh gives
-    g' = tanh(a) * (1 + tanh(b/2)) = 2g; the residual and tail weights take
-    the other 1/2. The skip 1x1s, the context conv and the head are linear:
-    row m of the [w x N*(C+1)] tail is what a step's gates add to the
-    prediction m steps ahead, summed into a buffer of future predictions.
+    tanh(b/2) and g = tanh(a) * (1 + tanh(b/2)) / 2; the residual and tail
+    weights take the 1/2. The skip 1x1s, the context conv and the head are
+    linear: row m of the [w x N*(C+1)] tail is what a step's gates add to
+    the prediction m steps ahead, summed into a buffer of future predictions.
 
-    A step reads its taps from the histories. A block of up to _BLOCK
-    samples runs the same plan on [channels x n] arrays, with each layer's
-    taps read from its history followed by the block, and leaves the
-    histories and future predictions as the same samples fed one by one
-    would. So steps, blocks and reset() interleave freely.
+    A step runs on one flat vector: the input segment [v; 1; taps_0], then
+    per block i the segment [z_i; a_i; 1; taps_{i+1}], where taps_i are
+    block i's k-1 history taps. One indexed read first gathers every block's
+    taps from the tape. Block i's input z_i and pre-activation are linear in
+    the segment before, so the plan folds the residual 1x1 (or the input
+    normalizer and projection), the dilated conv's current tap, its history
+    taps and the biases into one transition matrix per block: a block is one
+    product and its activation, in place. A gated block stores a_i =
+    [tanh a; tanh a * tanh(b/2)], whose residual and tail columns repeat, so
+    it needs no "+1". One product of the step tail with the segments then
+    adds the step's gates to the future predictions.
+
+    A block of up to _BLOCK samples runs the unfolded plan on [channels x n]
+    arrays: each layer's taps are read from its context on the tape followed
+    by the block, and its last columns are written back. It leaves the tape
+    and the future predictions as the same samples fed one by one would, so
+    steps, blocks and reset() interleave freely.
 
     The plan is built from the weights on the first call after construction
     or reset(), and again when a call is given another ModelWeights object,
-    so in-place edits to the weights take effect after reset().
+    so in-place edits to the weights take effect after reset(). The step's
+    transitions and tail are folded from it on the first step after a build.
     """
 
     def __init__(self, config: ModelConfig):
         self.config = config
         k, c, w = config.kernel_size, config.residual_channels, config.context_window
         n_blocks, n_in = config.num_blocks, config.in_channels
-        self.block_histories = [_History(c, (k - 1) * d + 1) for d in config.dilations()]
         self.gated = config.activation == "gated"
-        self.pre = np.empty(2 * c if self.gated else c)
-        self.taps = np.ones(c * k + 1)  # a dilated conv's taps, then the constant 1
-        self.views = (self.taps[:-1].reshape(c, k), self.pre[:c], self.pre[c:])
-        self.gates = np.ones(n_blocks * (c + 1))  # block i: [g'_i, 1]
-        self.future = np.zeros(2 * w)  # [pos, pos + w) holds predictions t .. t+w-1
+        p = 2 * c if self.gated else c  # pre-activation rows of a block
+        h = (k - 1) * c  # history taps of a block, tap j of channel i at i*(k-1) + j
+        self.span = (k - 1) * 2 ** (n_blocks - 1)
+        self.tape = np.zeros((2 * self.span, n_blocks, c))
+        self.tape_flat = self.tape.reshape(-1)
+
+        # The step's flat vector and its views; the 1 entries are never written.
+        lead, width = n_in + 1 + h, c + p + 1 + h
+        self.vec = vec = np.zeros(lead + n_blocks * width)
+        vec[n_in] = 1.0
+        vec[lead + c + p :: width] = 1.0
+        self.taps = vec[n_in + 1 : n_in + 1 + n_blocks * width].reshape(n_blocks, width)[:, :h]
+        self.z_view = vec[lead:].reshape(n_blocks, width)[:, :c]
+        self.gates_view = vec[lead + c : lead + (n_blocks - 1) * width + c + p + 1]
+        # Each tap's place in the tape's last L rows, flattened: tap j of
+        # block i is that block's input (k-1-j)*2^i steps back.
+        lag = np.outer(2 ** np.arange(n_blocks), np.arange(k - 1, 0, -1))  # [N x k-1]
+        index = (self.span - lag)[:, None, :] * (n_blocks * c) + np.arange(c)[:, None]
+        self.tap_index = (index + c * np.arange(n_blocks)[:, None, None]).reshape(n_blocks, h)
 
         # The plan, filled in place by _build_plan.
         self.offset, self.scale = np.empty(n_in), np.empty(n_in)
         self.input_w, self.input_b = np.empty((c, n_in)), np.empty(c)
-        self.dilated = np.empty((n_blocks, len(self.pre), c * k + 1))
+        self.dilated = np.empty((n_blocks, p, c * k + 1))
         self.residual = np.empty((n_blocks - 1, c, c + 1))  # the last block's is never read
         self.skips = np.empty((config.skip_channels, n_blocks, c + 1))
         self.tail = np.empty((w, n_blocks * (c + 1)))
-        self.blocks = []
-        for i, hist in enumerate(self.block_histories):
-            g1 = self.gates[i * (c + 1) : (i + 1) * (c + 1)]
-            residual = self.residual[i] if i < n_blocks - 1 else None
-            self.blocks.append((hist, 2**i, self.dilated[i], g1[:c], g1, residual))
+        self.transitions = [np.zeros((c + p, lead)), *np.zeros((n_blocks - 1, c + p, width))]
+        for trans in self.transitions[1:]:
+            trans[:c, :c] = np.eye(c)  # z_i = z_{i-1} + residual, and no taps
+        self.step_tail = np.zeros((w, len(self.gates_view)))
+        self.steps = []
+        for i, trans in enumerate(self.transitions):
+            lo = lead + i * width
+            act = vec[lo + c : lo + c + p]
+            src = vec[lo - trans.shape[1] : lo]
+            self.steps.append((trans, src, vec[lo : lo + c + p], act, act[:c], act[c:]))
 
         # Block-path buffers, flat so that any width up to _BLOCK views them
-        # contiguously. `lead` columns ahead of the block hold the widest
+        # contiguously. `span` columns ahead of the block hold the widest
         # layer's left context.
-        self.lead = self.block_histories[-1].span - 1
-        self.block_z = np.empty(c * (self.lead + _BLOCK))
+        self.block_z = np.empty(c * (self.span + _BLOCK))
         self.block_taps = np.empty((c * k + 1) * _BLOCK)
-        self.block_pre = np.empty(len(self.pre) * _BLOCK)
-        self.block_gates = np.empty(len(self.gates) * _BLOCK)
+        self.block_pre = np.empty(p * _BLOCK)
+        self.block_gates = np.empty(n_blocks * (c + 1) * _BLOCK)
         self.block_sums = np.empty(w + _BLOCK)
+        self.future = np.zeros(2 * w)  # [pos, pos + w) holds predictions t .. t+w-1
         self.reset()
 
     def reset(self) -> None:
-        for hist in self.block_histories:
-            hist.reset()
+        self.tape[:] = 0.0
+        self.cursor = self.span
         self.future[:] = 0.0
         self.pos = 0
         self.source = None  # the ModelWeights the plan was built from
+        self.folded = False  # whether the step's transitions are folded from it
+
+    def _make_room(self, rows: int) -> None:
+        """Copy the tape's last L rows to its front if `rows` more do not fit."""
+        if self.cursor + rows > len(self.tape):
+            self.tape[: self.span] = self.tape[self.cursor - self.span : self.cursor]
+            self.cursor = self.span
 
     def _build_plan(self, weights: ModelWeights) -> None:
         if self.config != (cfg := weights.config):
             raise StreamStateError(f"stream state built for {self.config}, model expects {cfg}")
-        c = self.config.residual_channels
+        c, p = self.config.residual_channels, self.dilated.shape[1]
         half = 0.5 if self.gated else 1.0  # g = half * g'
         self.offset[:], self.scale[:] = weights.input_offset, weights.input_scale
         self.input_w[:] = weights.input_proj.weights[:, :, 0]
         self.input_b[:] = weights.input_proj.bias
         for i, blk in enumerate(weights.blocks):
             dilated = self.dilated[i]
-            dilated[:, :-1] = blk.dilated.weights.reshape(len(self.pre), -1)
+            dilated[:, :-1] = blk.dilated.weights.reshape(p, -1)
             dilated[:, -1] = blk.dilated.bias
             dilated[c:] *= half
             if i < len(self.residual):
@@ -370,6 +376,36 @@ class StreamState:
         head = weights.output_proj.weights[0, :, 0]
         self.const = float(head @ weights.context.bias + weights.output_proj.bias[0])
         self.source = weights
+        self.folded = False
+
+    def _fold_steps(self) -> None:
+        """Fold the plan into the step's transitions and tail, on the first
+        step after a build; the block path does not read them."""
+        c, k = self.config.residual_channels, self.config.kernel_size
+        p = self.dilated.shape[1]
+        # The step's transitions. Their top rows give z_i from the segment
+        # before, less its taps: the input normalizer and projection for
+        # block 0, else z_{i-1} plus block i-1's residual 1x1. The other rows
+        # give pre_i = dilated_i @ [taps_i; z_i; 1], z_i expanded by the top rows.
+        first = self.transitions[0]
+        np.multiply(self.input_w, self.scale, out=first[:c, : len(self.scale)])
+        first[:c, len(self.scale)] = self.input_b - self.input_w @ (self.offset * self.scale)
+        for i, trans in enumerate(self.transitions):
+            src = trans.shape[1] - (k - 1) * c
+            if i:  # a gated block's tanh a and tanh a * tanh(b/2) take the same weights
+                trans[:c, c : c + p] = np.tile(self.residual[i - 1, :, :c], p // c)
+                trans[:c, c + p] = self.residual[i - 1, :, c]
+            kernel = self.dilated[i, :, :-1].reshape(p, c, k)
+            np.matmul(kernel[:, :, -1], trans[:c, :src], out=trans[c:, :src])
+            trans[c:, src - 1] += self.dilated[i, :, -1]
+            for j in range(k - 1):
+                trans[c:, src + j :: k - 1] = kernel[:, :, j]
+        width = self.transitions[-1].shape[1]
+        for i in range(self.config.num_blocks):
+            g1 = self.tail[:, i * (c + 1) : (i + 1) * (c + 1)]
+            self.step_tail[:, i * width : i * width + p] = np.tile(g1[:, :c], p // c)
+            self.step_tail[:, i * width + p] = g1[:, c]
+        self.folded = True
 
 
 def _forward_block(state: StreamState, x: np.ndarray, out: np.ndarray) -> None:
@@ -381,21 +417,27 @@ def _forward_block(state: StreamState, x: np.ndarray, out: np.ndarray) -> None:
     """
     n = x.shape[1]
     c, k = state.config.residual_channels, state.config.kernel_size
-    lead, w = state.lead, state.config.context_window
-    padded = _rows(state.block_z, c, lead + n)
-    z = padded[:, lead:]
+    span, w = state.span, state.config.context_window
+    padded = _rows(state.block_z, c, span + n)
+    z = padded[:, span:]
     np.matmul(state.input_w, (x - state.offset[:, None]) * state.scale[:, None], out=z)
     z += state.input_b[:, None]
 
+    written = min(n, span)  # the tape keeps the last `span` inputs
+    state._make_room(written)
+    tape, cursor = state.tape, state.cursor
     stacked = _rows(state.block_taps, c * k + 1, n)  # tap j of channel i in row i*k + j
     stacked[-1] = 1.0
     taps = stacked[:-1].reshape(c, k, n)
-    pre = _rows(state.block_pre, len(state.pre), n)
-    gates = _rows(state.block_gates, len(state.gates), n)
+    pre = _rows(state.block_pre, state.dilated.shape[1], n)
+    gates = _rows(state.block_gates, state.tail.shape[1], n)
     gates[c :: c + 1] = 1.0
-    for i, (hist, dilation, dilated, _, _, residual) in enumerate(state.blocks):
-        seen = padded[:, lead - hist.span + 1 :]  # the layer's context, then the block
-        seen[:, : hist.span - 1] = hist.context()
+    for i, dilated in enumerate(state.dilated):
+        dilation = 2**i
+        context = (k - 1) * dilation
+        seen = padded[:, span - context :]  # the layer's context, then the block
+        seen[:, :context] = tape[cursor - context : cursor, i].T
+        tape[cursor : cursor + written, i] = z[:, n - written :].T
         for j in range(k):
             taps[:, j] = seen[:, j * dilation : j * dilation + n]
         np.matmul(dilated, stacked, out=pre)
@@ -406,9 +448,9 @@ def _forward_block(state: StreamState, x: np.ndarray, out: np.ndarray) -> None:
             np.multiply(pre[:c], pre[c:], out=g1[:c])
         else:
             np.maximum(pre, 0.0, out=g1[:c])
-        hist.load(seen[:, -hist.span :])
-        if residual is not None:
-            z += residual @ g1
+        if i < len(state.residual):
+            z += state.residual[i] @ g1
+    state.cursor = cursor + written
 
     # sums[t] gathers prediction t of the block; [n, n + w) becomes the future.
     sums = state.block_sums[: n + w]
@@ -444,25 +486,33 @@ def forward_streaming(weights: ModelWeights, state: StreamState, sample):
     v = v.ravel()
     if v.shape != state.offset.shape:
         raise ShapeError(f"expected a {state.offset.size}-vector sample, got shape {v.shape}")
+    if not state.folded:
+        state._fold_steps()
+    return _forward_step(state, v)
 
-    z = state.input_w @ ((v - state.offset) * state.scale) + state.input_b
-    pre, taps = state.pre, state.taps
-    tap_view, pre_a, pre_b = state.views
-    for hist, dilation, dilated, g, g1, residual in state.blocks:
-        tap_view[:] = hist.push(z)[:, ::dilation]
-        np.matmul(dilated, taps, out=pre)
-        if state.gated:
-            np.tanh(pre, out=pre)
-            pre_b += 1.0
-            np.multiply(pre_a, pre_b, out=g)
-        else:
-            np.maximum(pre, 0.0, out=g)
-        if residual is not None:
-            z += residual @ g1
+
+def _forward_step(state: StreamState, v: np.ndarray) -> float:
+    """One sample's prediction: gather the taps, one product and activation
+    per block, one tail product into the future predictions."""
+    state._make_room(1)
+    cursor, row = state.cursor, state.z_view.size
+    state.vec[: v.size] = v
+    state.taps[...] = state.tape_flat[(cursor - state.span) * row : cursor * row][state.tap_index]
+    if state.gated:
+        for trans, src, out, act, tanh_a, tanh_b in state.steps:
+            np.dot(trans, src, out=out)
+            np.tanh(act, out=act)
+            np.multiply(tanh_a, tanh_b, out=tanh_b)
+    else:
+        for trans, src, out, act, _, _ in state.steps:
+            np.dot(trans, src, out=out)
+            np.maximum(act, 0.0, out=act)
+    state.tape[cursor] = state.z_view
+    state.cursor = cursor + 1
 
     future, pos, w = state.future, state.pos, state.config.context_window
     window = future[pos : pos + w]
-    window += state.tail @ state.gates
+    window += np.dot(state.step_tail, state.gates_view)
     y = float(window[0]) + state.const
     state.pos = pos = pos + 1
     if pos == w:  # slide the second half down

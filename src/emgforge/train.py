@@ -291,9 +291,16 @@ def train(
     return weights, history
 
 
+@dataclass(frozen=True)
+class Evaluation(metrics.MetricsReport):
+    """A metrics report that keeps the (segment, prediction) pairs it scored."""
+
+    pairs: tuple = field(default=(), compare=False, repr=False)
+
+
 def evaluate(
     weights: ModelWeights, segments: list[MergedSegment], include_dc: bool = True
-) -> metrics.MetricsReport:
+) -> Evaluation:
     """Each segment's predictions, scored with all four metrics.
 
     `include_dc=False` drops the DC bin from the spectral similarity
@@ -301,8 +308,11 @@ def evaluate(
     """
     if not segments:
         raise InsufficientDataError("no segments to evaluate")
-    pairs = [(seg.segment_id, pred, seg.target) for seg, pred in predictions(weights, segments)]
-    return metrics.report_from_pairs(pairs, include_dc=include_dc)
+    pairs = predictions(weights, segments)
+    report = metrics.report_from_pairs(
+        [(seg.segment_id, pred, seg.target) for seg, pred in pairs], include_dc=include_dc
+    )
+    return Evaluation(report.rows, tuple(pairs))
 
 
 def predictions(weights: ModelWeights, segments: list[MergedSegment]):

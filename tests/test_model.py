@@ -1,4 +1,6 @@
+import itertools
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -414,6 +416,104 @@ def test_block_streaming_matches_batch_over_random_partitions(
                 batch = M.forward(w, x).data[0]
             assert np.max(np.abs(np.array(streamed) - batch)) <= 1e-9
         state.reset()
+
+
+def _random_weights(cfg, seed):
+    """Weights with a random normalizer and biases, so no term vanishes."""
+    w = M.init_weights(cfg, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    w.input_offset[:] = rng.standard_normal(6)
+    w.input_scale[:] = rng.uniform(0.5, 2.0, 6)
+    for _, kern in w.named_kernels():
+        kern.bias[:] = rng.standard_normal(kern.bias.shape) * 0.1
+    return w
+
+
+@pytest.mark.parametrize(
+    "k, n_blocks, activation",
+    [
+        (2, 1, "gated"),
+        (3, 2, "relu"),
+        (4, 3, "gated"),
+        (2, 4, "relu"),
+        (3, 4, "gated"),
+        (4, 2, "relu"),
+    ],
+)
+def test_history_store_wraps_through_steps_blocks_and_reset(k, n_blocks, activation):
+    """Several history-store lengths of steps and blocks whose writes fall
+    on either side of the store's copy-down, with a reset() in the middle."""
+    cfg = M.ModelConfig(
+        kernel_size=k,
+        num_blocks=n_blocks,
+        residual_channels=3,
+        skip_channels=2,
+        context_window=3,
+        activation=activation,
+    )
+    w = _random_weights(cfg, seed=10 * k + n_blocks)
+    state = M.StreamState(cfg)
+    rows = len(state.tape)
+    span = rows // 2  # the rows a step reads; the rest is room to write
+    pattern = [
+        ("steps", max(span - 1, 1)),
+        ("block", 2),
+        ("steps", 3),
+        ("block", span + 1),
+        ("block", 1),
+        ("steps", span),
+        ("block", max(span - 1, 1)),
+        ("block", rows + 1),
+        ("steps", 1),
+    ]
+    rng = np.random.default_rng(k + n_blocks)
+    copy_downs = {"steps": 0, "block": 0}
+    for length in (5 * rows + 7, 3 * rows + 2):
+        x = rng.standard_normal((6, length))
+        streamed = []
+        for kind, size in itertools.cycle(pattern):
+            lo = len(streamed)
+            if lo == length:
+                break
+            size = min(size, length - lo)
+            if kind == "block":
+                pieces = [x[:, lo : lo + size]]
+            else:
+                pieces = [x[:, i] for i in range(lo, lo + size)]
+            for piece in pieces:
+                cursor = state.cursor  # writing r rows moves it by r, unless it copied down
+                streamed.extend(np.atleast_1d(M.forward_streaming(w, state, piece)))
+                written = piece.shape[1] if piece.ndim == 2 else 1
+                copy_downs[kind] += state.cursor != cursor + min(written, span)
+        with no_grad():
+            batch = M.forward(w, x).data[0]
+        assert np.max(np.abs(np.array(streamed) - batch)) <= 1e-9
+        state.reset()
+    assert copy_downs["steps"] and copy_downs["block"]
+
+
+@pytest.mark.parametrize("block", [None, 37])
+def test_stream_memory_does_not_grow_with_stream_length(block):
+    """The history store is sized by the receptive field, not the stream."""
+    cfg = M.ModelConfig(kernel_size=3, num_blocks=4, residual_channels=8, skip_channels=8)
+    w = M.init_weights(cfg, seed=30)
+    x = rand_input(20_000, seed=31)
+    out = np.empty(x.shape[1])
+
+    def traced_peak(steps):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            state = M.StreamState(cfg)
+            for i in range(steps):
+                if block and i % 500 == 0:  # a block now and then among the steps
+                    M.forward_streaming(w, state, x[:, i : i + block])
+                out[i] = M.forward_streaming(w, state, x[:, i])
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak(20_000) <= 2 * traced_peak(2_000)
 
 
 class TestCheckpoint:

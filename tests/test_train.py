@@ -356,18 +356,25 @@ class TestEvaluate:
     def test_report_structure(self):
         split = tiny_split()
         w = init_weights(TINY_MODEL, seed=2)
-        report = tr.evaluate(w, split.test + split.train[:2])
+        segments = split.test + split.train[:2]
+        report = tr.evaluate(w, segments)
         assert len(report.rows) == 3
         agg = report.aggregate()
         assert set(agg) == {"mse", "mae", "cosine", "fft_cosine"}
         for stats in agg.values():
             assert set(stats) == {"best", "worst", "average"}
+        # The report keeps the pairs it scored: the same predictions, in row order.
+        assert [seg for seg, _ in report.pairs] == segments
+        assert [row.segment_id for row in report.rows] == [str(s.segment_id) for s in segments]
+        for (_, pred), (_, want) in zip(report.pairs, tr.predictions(w, segments)):
+            assert pred.tobytes() == want.tobytes()
 
     def test_single_segment_collapses_aggregates(self):
         split = tiny_split()
         w = init_weights(TINY_MODEL, seed=3)
-        agg = tr.evaluate(w, split.test).aggregate()
-        for stats in agg.values():
+        report = tr.evaluate(w, split.test)
+        assert len(report.pairs) == len(report.rows) == 1
+        for stats in report.aggregate().values():
             assert stats["best"] == stats["worst"] == stats["average"]
 
     def test_empty_rejected(self):
