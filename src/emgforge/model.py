@@ -40,6 +40,7 @@ from .tensor import (
     readout,
     relu,
     scale_channels,
+    stack_taps,
 )
 
 ACTIVATIONS = ("gated", "relu")
@@ -69,9 +70,6 @@ class ModelConfig:
             raise ConfigError("channel counts must be >= 1")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
-
-    def dilations(self) -> list[int]:
-        return [2**i for i in range(self.num_blocks)]
 
 
 class ReceptiveField(NamedTuple):
@@ -314,6 +312,7 @@ class StreamState:
         self.offset, self.scale = np.empty(n_in), np.empty(n_in)
         self.input_w, self.input_b = np.empty((c, n_in)), np.empty(c)
         self.dilated = np.empty((n_blocks, p, c * k + 1))
+        self.current = np.empty((n_blocks, p, c))  # current taps, contiguous for the fold
         self.residual = np.empty((n_blocks - 1, c, c + 1))  # the last block's is never read
         self.skips = np.empty((config.skip_channels, n_blocks, c + 1))
         self.tail = np.empty((w, n_blocks * (c + 1)))
@@ -329,9 +328,8 @@ class StreamState:
             self.steps.append((trans, src, vec[lo : lo + c + p], act, act[:c], act[c:]))
 
         # Block-path buffers, flat so that any width up to _BLOCK views them
-        # contiguously. `span` columns ahead of the block hold the widest
-        # layer's left context.
-        self.block_z = np.empty(c * (self.span + _BLOCK))
+        # contiguously.
+        self.block_z = np.empty(c * _BLOCK)
         self.block_taps = np.empty((c * k + 1) * _BLOCK)
         self.block_pre = np.empty(p * _BLOCK)
         self.block_gates = np.empty(n_blocks * (c + 1) * _BLOCK)
@@ -366,6 +364,7 @@ class StreamState:
             dilated[:, :-1] = blk.dilated.weights.reshape(p, -1)
             dilated[:, -1] = blk.dilated.bias
             dilated[c:] *= half
+            self.current[i] = dilated[:, :-1].reshape(p, c, -1)[:, :, -1]
             if i < len(self.residual):
                 np.multiply(blk.residual.weights[:, :, 0], half, out=self.residual[i, :, :c])
                 self.residual[i, :, c] = blk.residual.bias
@@ -396,7 +395,7 @@ class StreamState:
                 trans[:c, c : c + p] = np.tile(self.residual[i - 1, :, :c], p // c)
                 trans[:c, c + p] = self.residual[i - 1, :, c]
             kernel = self.dilated[i, :, :-1].reshape(p, c, k)
-            np.matmul(kernel[:, :, -1], trans[:c, :src], out=trans[c:, :src])
+            np.matmul(self.current[i], trans[:c, :src], out=trans[c:, :src])
             trans[c:, src - 1] += self.dilated[i, :, -1]
             for j in range(k - 1):
                 trans[c:, src + j :: k - 1] = kernel[:, :, j]
@@ -418,28 +417,22 @@ def _forward_block(state: StreamState, x: np.ndarray, out: np.ndarray) -> None:
     n = x.shape[1]
     c, k = state.config.residual_channels, state.config.kernel_size
     span, w = state.span, state.config.context_window
-    padded = _rows(state.block_z, c, span + n)
-    z = padded[:, span:]
+    z = _rows(state.block_z, c, n)
     np.matmul(state.input_w, (x - state.offset[:, None]) * state.scale[:, None], out=z)
     z += state.input_b[:, None]
 
     written = min(n, span)  # the tape keeps the last `span` inputs
     state._make_room(written)
     tape, cursor = state.tape, state.cursor
-    stacked = _rows(state.block_taps, c * k + 1, n)  # tap j of channel i in row i*k + j
+    stacked = _rows(state.block_taps, c * k + 1, n)  # the taps (stack_taps), then ones
     stacked[-1] = 1.0
-    taps = stacked[:-1].reshape(c, k, n)
     pre = _rows(state.block_pre, state.dilated.shape[1], n)
     gates = _rows(state.block_gates, state.tail.shape[1], n)
     gates[c :: c + 1] = 1.0
     for i, dilated in enumerate(state.dilated):
-        dilation = 2**i
-        context = (k - 1) * dilation
-        seen = padded[:, span - context :]  # the layer's context, then the block
-        seen[:, :context] = tape[cursor - context : cursor, i].T
+        context = tape[cursor - (k - 1) * 2**i : cursor, i].T
+        stack_taps(z, k, 2**i, stacked[:-1], context)
         tape[cursor : cursor + written, i] = z[:, n - written :].T
-        for j in range(k):
-            taps[:, j] = seen[:, j * dilation : j * dilation + n]
         np.matmul(dilated, stacked, out=pre)
         g1 = gates[i * (c + 1) : (i + 1) * (c + 1)]
         if state.gated:

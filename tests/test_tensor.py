@@ -173,22 +173,94 @@ def loop_conv_with_grads(x, kernel, g):
     return out, gw, gb, gx
 
 
-@pytest.mark.parametrize("k,d", [(1, 1), (3, 1), (3, 4)])
+def max_rel_error(got, want):
+    """Largest |got - want| as a share of want's max-abs."""
+    return np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300)
+
+
+@pytest.mark.parametrize("t_len", [257, 1])
+@pytest.mark.parametrize("k,d", [(1, 1), (3, 1), (3, 4), (2, 1), (2, 300), (3, 300)])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_conv_bit_identical_to_loop(k, d, seed):
+def test_conv_matches_loop(k, d, seed, t_len):
+    """The stacked conv sums in another order than the per-tap loop, so it
+    must match within 1e-12 relative, output and every gradient."""
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((32, 257))
+    x = rng.standard_normal((32, t_len))
     kernel = ConvKernel(rng.standard_normal((24, 32, k)), rng.standard_normal(24), d)
-    g = rng.standard_normal((24, 257))
-    want_out, want_gw, want_gb, want_gx = loop_conv_with_grads(x, kernel, g)
+    g = rng.standard_normal((24, t_len))
+    want = loop_conv_with_grads(x, kernel, g)
 
     xt = Tensor(x, requires_grad=True)
     y = conv1d_causal(xt, kernel)
     backward(sum_all(mul(y, Tensor(g))))
-    assert np.array_equal(y.data, want_out)
-    assert np.array_equal(kernel.grad_weights, want_gw)
-    assert np.array_equal(kernel.grad_bias, want_gb)
-    assert np.array_equal(xt.grad, want_gx)
+    got = (y.data, kernel.grad_weights, kernel.grad_bias, xt.grad)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert max_rel_error(a, b) <= 1e-12
+
+
+def gated_grad(x, g):
+    """d/dx of sum(g * tanh(x_top) * sigmoid(x_bottom)), written out."""
+    half = x.shape[0] // 2
+    th, sg = np.tanh(x[:half]), 1.0 / (1.0 + np.exp(-x[half:]))
+    return np.concatenate([g * sg * (1.0 - th**2), g * th * sg * (1.0 - sg)])
+
+
+class TestGradientAdoption:
+    """An op's fresh gradient array may become its input's gradient; an
+    array that another tensor also holds never may."""
+
+    def test_add_same_input_twice(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
+        g = rng.standard_normal((3, 5))
+        y = add(x, x)
+        backward(sum_all(mul(y, Tensor(g))))
+        assert np.array_equal(x.grad, 2.0 * g)
+        assert np.array_equal(y.grad, g)
+
+    def test_add_inputs_get_separate_arrays(self):
+        rng = np.random.default_rng(1)
+        a = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
+        b = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
+        g = rng.standard_normal((2, 4))
+        backward(sum_all(mul(add(a, b), Tensor(g))))
+        assert a.grad is not b.grad
+        assert np.array_equal(a.grad, g) and np.array_equal(b.grad, g)
+
+    def test_conv_and_gated_reads_sum(self):
+        """x is read by a conv, a gated op and, newest, a residual add; the
+        conv's backward runs last and must see its own upstream gradient."""
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((4, 9))
+        kernel = ConvKernel(rng.standard_normal((4, 4, 3)), rng.standard_normal(4), 2)
+        g_res, g_gate = rng.standard_normal((4, 9)), rng.standard_normal((2, 9))
+        xt = Tensor(x, requires_grad=True)
+        conv = conv1d_causal(xt, kernel)
+        gate = gated_activation(xt)
+        residual = add(xt, conv)
+        backward(add(sum_all(mul(residual, Tensor(g_res))), sum_all(mul(gate, Tensor(g_gate)))))
+        _, want_gw, want_gb, want_gx = loop_conv_with_grads(x, kernel, g_res)
+        assert max_rel_error(xt.grad, g_res + want_gx + gated_grad(x, g_gate)) <= 1e-12
+        assert max_rel_error(kernel.grad_weights, want_gw) <= 1e-12
+        assert max_rel_error(kernel.grad_bias, want_gb) <= 1e-12
+
+    def test_second_graph_leaves_first_graph_arrays(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((4, 6))
+        xt = Tensor(x, requires_grad=True)
+        u = Tensor(rng.standard_normal((2, 6)), requires_grad=True)
+        g1, g2 = rng.standard_normal((2, 6)), rng.standard_normal((2, 6))
+        s = add(gated_activation(xt), u)
+        backward(sum_all(mul(s, Tensor(g1))))
+        first = xt.grad
+        kernel = ConvKernel(rng.standard_normal((2, 4, 2)), rng.standard_normal(2), 1)
+        backward(sum_all(mul(add(conv1d_causal(xt, kernel), u), Tensor(g2))))
+        assert xt.grad is first  # the adopted array took the second graph's sum
+        want = gated_grad(x, g1) + loop_conv_with_grads(x, kernel, g2)[3]
+        assert max_rel_error(xt.grad, want) <= 1e-12
+        assert np.array_equal(u.grad, g1 + g2)
+        assert np.array_equal(s.grad, g1)
 
 
 def unfused_readout(gates, skips, context, head):
