@@ -3,8 +3,9 @@
 Raw recordings are columnar CSV (header row, '#' comment lines dropped),
 one EMG column plus six IMU columns. The EMG channel drives segmentation;
 IMU channels are sliced with the same index ranges, and the result is a
-list of merged segments that can round-trip through a unified segment CSV
-with a JSON metadata sidecar.
+list of merged segments. `write_segments` saves them as a unified segment
+CSV with a JSON metadata sidecar, an output format that nothing here reads
+back.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterator
 
@@ -276,6 +277,10 @@ def _sidecar_path(path: Path) -> Path:
     return path.with_name(path.stem + ".meta.json")
 
 
+def _write_sidecar(path: Path, info: dict) -> None:
+    _sidecar_path(path).write_text(json.dumps(info, indent=2) + "\n")
+
+
 def _read_sidecar(sidecar: Path) -> dict:
     """A `.meta.json` sidecar's JSON object; a SchemaError names one that is not."""
     try:
@@ -293,14 +298,9 @@ def json_is(value, kind: type) -> bool:
     return isinstance(value, allowed) and not isinstance(value, bool)
 
 
-_REQUIRED = object()  # the _sidecar_value default of a key that must be present
-
-
 def _sidecar_value(raw: dict, key: str, kind: type, default, sidecar):
-    """`raw[key]` (or `default`) as `kind`; a SchemaError if the key is missing
-    and _REQUIRED, or its JSON type is not `kind`. `sidecar` names the source."""
-    if default is _REQUIRED and key not in raw:
-        raise SchemaError(f"{sidecar}: missing key {key!r}")
+    """`raw[key]` (or `default`) as `kind`; a SchemaError if its JSON type is
+    not `kind`. `sidecar` names the source."""
     value = raw.get(key, default)
     if not json_is(value, kind):
         raise SchemaError(f"{sidecar}: {key} must be a JSON {kind.__name__}, got {value!r}")
@@ -388,19 +388,7 @@ def write_raw_recording(rec: RawRecording, path) -> None:
         for lo in range(0, len(rec), _CSV_BLOCK):
             columns = [getattr(rec, ch).samples[lo : lo + _CSV_BLOCK].tolist() for ch in CHANNELS]
             fh.writelines(row % r for r in zip(*columns))
-    sidecar = _sidecar_path(path)
-    sidecar.write_text(
-        json.dumps(
-            {
-                "subject": rec.meta.subject,
-                "motion": rec.meta.motion,
-                "day": rec.meta.day,
-                "fs": rec.fs,
-            },
-            indent=2,
-        )
-        + "\n"
-    )
+    _write_sidecar(path, {**asdict(rec.meta), "fs": rec.fs})
 
 
 @dataclass(frozen=True)
@@ -602,9 +590,21 @@ _SEGMENT_HEADER = ("segment_id", "sample_idx", "emg_norm_env", "ax", "ay", "az",
 
 
 def write_segments(segments: list[MergedSegment], path) -> None:
-    """Serialize segments losslessly (17 significant digits per amplitude)."""
+    """Serialize segments losslessly (17 significant digits per amplitude).
+
+    The sidecar holds one sample rate and the CSV tells rows apart by segment
+    id alone, so segments with differing rates or a shared id raise a
+    SchemaError before anything is written.
+    """
     if not segments:
         raise EmptyInputError("no segments to write")
+    rates = {seg.meta.fs for seg in segments}
+    if len(rates) > 1:
+        raise SchemaError(f"segments carry different sample rates: {sorted(rates)}")
+    ids = [seg.segment_id for seg in segments]
+    for n, seg_id in enumerate(ids):
+        if seg_id in ids[:n]:
+            raise SchemaError(f"two segments share the id {seg_id!r}; their rows would merge")
     path = Path(path)
     row = ",%d" + ",%.17g" * 7 + _CSV_EOL
     with open(path, "w", newline="") as fh:
@@ -619,90 +619,17 @@ def write_segments(segments: list[MergedSegment], path) -> None:
                     *seg.imu[:, lo:hi].tolist(),
                 ]
                 fh.writelines(head + row % r for r in zip(*columns))
-    sidecar = _sidecar_path(path)
-    sidecar.write_text(
-        json.dumps(
-            {
-                "fs": segments[0].meta.fs,
-                "segments": [
-                    {
-                        "segment_id": seg.segment_id,
-                        "subject": seg.meta.subject,
-                        "motion": seg.meta.motion,
-                        "day": seg.meta.day,
-                        "rep_index": seg.meta.rep_index,
-                        "start": seg.bounds.start,
-                        "end": seg.bounds.end,
-                        "peak": seg.bounds.peak,
-                    }
-                    for seg in segments
-                ],
-            },
-            indent=2,
-        )
-        + "\n"
-    )
-
-
-def read_segments(path) -> list[MergedSegment]:
-    """Inverse of write_segments; reproduces every field bit-exactly."""
-    path = Path(path)
-    sidecar = _sidecar_path(path)
-    if not sidecar.exists():
-        raise SchemaError(f"segment metadata sidecar not found: {sidecar}")
-    info = _read_sidecar(sidecar)
-    fs = _sidecar_value(info, "fs", float, _REQUIRED, sidecar)
-    entries = _sidecar_value(info, "segments", list, _REQUIRED, sidecar)
-
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != _SEGMENT_HEADER:
-            raise SchemaError(f"unexpected segment CSV header: {header}")
-        rows = list(reader)
-    width = len(_SEGMENT_HEADER)
-    values = np.empty((len(rows), width - 2))
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise SchemaError(f"{path}: data row {i} has {len(row)} fields, expected {width}")
-        try:
-            values[i] = [float(v) for v in row[2:]]
-        except ValueError:
-            raise SchemaError(f"{path}: data row {i} holds a value that is not a number") from None
-    bad = ~np.isfinite(values).all(axis=1)
-    if bad.any():
-        raise SchemaError(f"{path}: data row {int(bad.argmax())} holds a non-finite value")
-    ids = np.array([row[0] for row in rows])
-    values = values.T
-
-    segments = []
-    for i, entry in enumerate(entries):
-        where = f"{sidecar} segment {i}"
-        if not isinstance(entry, dict):
-            raise SchemaError(f"{where}: expected a JSON object, got {type(entry).__name__}")
-
-        def field(key, kind):
-            return _sidecar_value(entry, key, kind, _REQUIRED, where)
-
-        seg_id = field("segment_id", str)
-        data = values[:, ids == seg_id]
-        if data.shape[1] == 0:
-            raise SchemaError(f"segment {seg_id!r} listed in sidecar but absent from CSV")
-        bounds = dsp.SegmentBounds(field("start", int), field("end", int), field("peak", int))
-        if data.shape[1] != len(bounds):
-            raise SchemaError(f"segment {seg_id!r} row count does not match its bounds")
-        segments.append(
-            MergedSegment(
-                bounds=bounds,
-                target=data[0],
-                imu=data[1:],
-                meta=SegmentMeta(
-                    subject=field("subject", str),
-                    motion=field("motion", str),
-                    day=field("day", int),
-                    rep_index=field("rep_index", int),
-                    fs=fs,
-                ),
-            )
-        )
-    return segments
+    entries = [
+        {
+            "segment_id": seg.segment_id,
+            "subject": seg.meta.subject,
+            "motion": seg.meta.motion,
+            "day": seg.meta.day,
+            "rep_index": seg.meta.rep_index,
+            "start": seg.bounds.start,
+            "end": seg.bounds.end,
+            "peak": seg.bounds.peak,
+        }
+        for seg in segments
+    ]
+    _write_sidecar(path, {"fs": segments[0].meta.fs, "segments": entries})

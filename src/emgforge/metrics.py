@@ -74,23 +74,24 @@ def fft(x) -> Spectrum:
     return Spectrum(_fft_pow2(padded), n)
 
 
-def mse(a, b) -> float:
+def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """`a` and `b` as flat float64 arrays of one non-zero length."""
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
     if a.shape != b.shape:
         raise ShapeError(f"length mismatch: {a.shape} vs {b.shape}")
     if a.size == 0:
         raise EmptyInputError("cannot score empty sequences")
+    return a, b
+
+
+def mse(a, b) -> float:
+    a, b = _pair(a, b)
     return float(np.mean((a - b) ** 2))
 
 
 def mae(a, b) -> float:
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ShapeError(f"length mismatch: {a.shape} vs {b.shape}")
-    if a.size == 0:
-        raise EmptyInputError("cannot score empty sequences")
+    a, b = _pair(a, b)
     return float(np.mean(np.abs(a - b)))
 
 
@@ -108,10 +109,7 @@ def _unit_scaled(v: np.ndarray) -> np.ndarray:
 
 def cosine_sim(a, b) -> float:
     """Cosine similarity <a,b> / (|a||b|), in [-1, 1]."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ShapeError(f"length mismatch: {a.shape} vs {b.shape}")
+    a, b = _pair(a, b)
     a = _unit_scaled(a)
     b = _unit_scaled(b)
     na = float(np.linalg.norm(a))
@@ -122,22 +120,15 @@ def cosine_sim(a, b) -> float:
 def fft_cosine_sim(a, b, include_dc: bool = True) -> float:
     """Cosine similarity between magnitude spectra over bins [0, n/2].
 
-    Both sequences are zero-padded to the larger of their power-of-two
-    lengths, so equal-length inputs share one transform size.
+    Both sequences have one length, so `fft` pads them to one transform
+    size n.
     """
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ShapeError(f"length mismatch: {a.shape} vs {b.shape}")
-    if a.size == 0:
-        raise EmptyInputError("cannot score empty sequences")
+    a, b = _pair(a, b)
     if not np.any(a) or not np.any(b):
         raise DegenerateInputError("spectral similarity undefined for an all-zero signal")
-    n = max(next_pow2(a.size), next_pow2(b.size))
-    lo = 0 if include_dc else 1
-    mag_a = np.abs(fft(np.pad(a, (0, n - a.size))).bins[lo : n // 2 + 1])
-    mag_b = np.abs(fft(np.pad(b, (0, n - b.size))).bins[lo : n // 2 + 1])
-    return cosine_sim(mag_a, mag_b)
+    spec_a, spec_b = fft(a), fft(b)
+    lo, hi = (0 if include_dc else 1), spec_a.n // 2 + 1
+    return cosine_sim(np.abs(spec_a.bins[lo:hi]), np.abs(spec_b.bins[lo:hi]))
 
 
 METRIC_NAMES = ("mse", "mae", "cosine", "fft_cosine")

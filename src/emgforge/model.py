@@ -531,9 +531,7 @@ _CONFIG_FIELDS = {f.name: type(f.default) for f in dataclasses.fields(ModelConfi
 def _manifest_entries(weights: ModelWeights):
     yield "input_offset", weights.input_offset
     yield "input_scale", weights.input_scale
-    for name, kern in weights.named_kernels():
-        yield f"{name}.weights", kern.weights
-        yield f"{name}.bias", kern.bias
+    yield from weights.parameter_arrays().items()
 
 
 def save_weights(weights: ModelWeights, path) -> None:

@@ -334,6 +334,11 @@ def apply_filter(signal: SampledSignal, cascade: BiquadCascade) -> SampledSignal
     return SampledSignal(y, signal.fs)
 
 
+# Chain stage -> the FilterChainConfig field holding its cutoffs; a stage is
+# designed as the Butterworth filter kind of the same name.
+_STAGE_CUTOFFS = {"highpass": "highpass_hz", "bandpass": "bandpass_hz", "bandstop": "bandstop_hz"}
+
+
 @dataclass(frozen=True)
 class FilterChainConfig:
     """The sEMG conditioning chain, applied in `stages` order."""
@@ -343,6 +348,13 @@ class FilterChainConfig:
     bandstop_hz: tuple[float, float] = (48.0, 52.0)
     order: int = 4
     stages: tuple[str, ...] = ("highpass", "bandpass", "bandstop")
+
+    def __post_init__(self):
+        for stage in self.stages:
+            if stage not in _STAGE_CUTOFFS:
+                raise ConfigError(
+                    f"unknown chain stage {stage!r}; expected one of {tuple(_STAGE_CUTOFFS)}"
+                )
 
 
 def preprocess_emg(raw: SampledSignal, chain: FilterChainConfig | None = None) -> SampledSignal:
@@ -354,15 +366,8 @@ def preprocess_emg(raw: SampledSignal, chain: FilterChainConfig | None = None) -
     chain = chain or FilterChainConfig()
     out = raw
     for stage in chain.stages:
-        if stage == "highpass":
-            casc = design_butterworth("highpass", chain.order, chain.highpass_hz, raw.fs)
-        elif stage == "bandpass":
-            casc = design_butterworth("bandpass", chain.order, chain.bandpass_hz, raw.fs)
-        elif stage == "bandstop":
-            casc = design_butterworth("bandstop", chain.order, chain.bandstop_hz, raw.fs)
-        else:
-            raise ConfigError(f"unknown chain stage {stage!r}")
-        out = apply_filter(out, casc)
+        cutoffs = getattr(chain, _STAGE_CUTOFFS[stage])
+        out = apply_filter(out, design_butterworth(stage, chain.order, cutoffs, raw.fs))
     return out
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from emgforge import cli, dataio
+from emgforge import cli
 from emgforge.config import RunConfig
 from emgforge.model import load_weights, save_weights
 
@@ -121,8 +121,12 @@ def test_config_directory_exits_2(data, tmp_path):
 
 @pytest.mark.parametrize(
     "ini, named",
-    [(b"[model]\nactivation = r\xffelu\n", "bad.ini"), (b"[data]\nfs = inf\n", "sample rate")],
-    ids=["not_utf8", "fs_inf"],
+    [
+        (b"[model]\nactivation = r\xffelu\n", "bad.ini"),
+        (b"[data]\nfs = inf\n", "sample rate"),
+        (b"[filter]\nstages = highpass, foo\n", "'foo'"),
+    ],
+    ids=["not_utf8", "fs_inf", "unknown_stage"],
 )
 def test_bad_config_exits_2(data, tmp_path, ini, named):
     rec = recording_copy(data, tmp_path / "rec", None)
@@ -131,6 +135,7 @@ def test_bad_config_exits_2(data, tmp_path, ini, named):
     rc, err = run_cli("preprocess", "--in", rec, "--out", tmp_path / "seg.csv",
                       "--config", config)
     assert_one_error(rc, err, 2, named)
+    assert not (tmp_path / "seg.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -281,8 +286,9 @@ def test_fuzz_preprocess(data, sidecar, ini):
     rc, err = run_cli(*argv)
     assert_documented_failure(rc, err)
     if rc == 0:
-        for seg in dataio.read_segments(work / "seg.csv"):
-            assert np.isfinite(seg.target).all() and np.isfinite(seg.imu).all()
+        values = np.loadtxt(work / "seg.csv", delimiter=",", skiprows=1, usecols=range(1, 9),
+                            quotechar='"', comments=None, ndmin=2)
+        assert np.isfinite(values).all()
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 from unittest import mock
@@ -556,64 +557,64 @@ class TestWindows:
             list(dataio.make_windows(split, 4096, 2, seed=0))
 
 
+def read_segment_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """A segment CSV's id column and its [rows x 8] numeric columns, parsed
+    with np.loadtxt rather than the writer's own csv module."""
+    kwargs = dict(delimiter=",", skiprows=1, quotechar='"', comments=None)
+    ids = np.loadtxt(path, usecols=0, dtype=str, ndmin=1, **kwargs)
+    values = np.loadtxt(path, usecols=range(1, len(dataio._SEGMENT_HEADER)), ndmin=2, **kwargs)
+    return ids, values
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestUnifiedDataset:
     def test_round_trip_bit_exact(self, tmp_path):
         rec, _ = synthgen.generate_recording(synthgen.MotionProfile(n_reps=4), seed=7)
         segments = dataio.build_segments(rec)
         path = tmp_path / "segments.csv"
         dataio.write_segments(segments, path)
-        loaded = dataio.read_segments(path)
-        assert len(loaded) == len(segments)
-        for a, b in zip(segments, loaded):
-            assert a.segment_id == b.segment_id
-            assert a.bounds == b.bounds
-            assert a.meta == b.meta
-            assert np.array_equal(a.target, b.target)
-            assert np.array_equal(a.imu, b.imu)
+        ids, values = read_segment_csv(path)
+        info = json.loads((tmp_path / "segments.meta.json").read_text())
+        assert info["fs"] == rec.fs
+        assert len(info["segments"]) == len(segments)
+        lo = 0
+        for seg, entry in zip(segments, info["segments"]):
+            rows = values[lo : lo + len(seg)]
+            assert set(ids[lo : lo + len(seg)]) == {seg.segment_id} == {entry["segment_id"]}
+            lo += len(seg)
+            assert dsp.SegmentBounds(entry["start"], entry["end"], entry["peak"]) == seg.bounds
+            meta = (entry["subject"], entry["motion"], entry["day"], entry["rep_index"], info["fs"])
+            assert dataio.SegmentMeta(*meta) == seg.meta
+            sample_idx = np.arange(seg.bounds.start, seg.bounds.end, dtype=np.float64)
+            assert same_bits(rows[:, 0], sample_idx)
+            assert same_bits(rows[:, 1], seg.target)
+            assert same_bits(rows[:, 2:].T, seg.imu)
+        assert lo == len(ids)
 
-    def test_missing_sidecar_rejected(self, tmp_path):
+    def test_mixed_sample_rates_rejected_before_writing(self, tmp_path):
         rec, _ = synthgen.generate_recording(synthgen.MotionProfile(n_reps=2), seed=8)
-        segments = dataio.build_segments(rec)
+        seg = dataio.build_segments(rec)[0]
+        other = dataclasses.replace(seg, meta=dataclasses.replace(seg.meta, rep_index=9, fs=500.0))
         path = tmp_path / "segments.csv"
-        dataio.write_segments(segments, path)
-        (tmp_path / "segments.meta.json").unlink()
-        with pytest.raises(SchemaError):
-            dataio.read_segments(path)
+        with pytest.raises(SchemaError, match="sample rates"):
+            dataio.write_segments([seg, other], path)
+        assert not path.exists()
 
-    @pytest.mark.parametrize("value", ["nan", "-inf", "abc", ""])
-    def test_bad_amplitude_names_its_row(self, tmp_path, value):
-        rec, _ = synthgen.generate_recording(synthgen.MotionProfile(n_reps=2), seed=8)
-        path = tmp_path / "segments.csv"
-        dataio.write_segments(dataio.build_segments(rec), path)
-        lines = path.read_text().splitlines(keepends=True)
-        fields = lines[4].split(",")
-        fields[2] = value
-        lines[4] = ",".join(fields)
-        path.write_text("".join(lines))
-        with pytest.raises(SchemaError, match="data row 3 "):
-            dataio.read_segments(path)
-
-    @pytest.mark.parametrize(
-        "edit, key",
-        [
-            (lambda info: info.clear(), "fs"),
-            (lambda info: info["segments"][1].pop("start"), "start"),
-            (lambda info: info["segments"][1].update(start="x"), "start"),
-        ],
-        ids=["empty_sidecar", "entry_without_start", "start_not_a_number"],
-    )
-    def test_bad_sidecar_names_file_and_key(self, tmp_path, edit, key):
-        rec, _ = synthgen.generate_recording(synthgen.MotionProfile(n_reps=2), seed=8)
-        path = tmp_path / "segments.csv"
-        dataio.write_segments(dataio.build_segments(rec), path)
-        sidecar = tmp_path / "segments.meta.json"
-        info = json.loads(sidecar.read_text())
-        edit(info)
-        sidecar.write_text(json.dumps(info))
-        with pytest.raises(SchemaError) as caught:
-            dataio.read_segments(path)
-        assert str(sidecar) in str(caught.value)
-        assert key in str(caught.value)
+    def test_shared_segment_id_rejected_before_writing(self, tmp_path):
+        segments = []
+        for seed in (8, 9):  # two recordings without sidecars share the default meta
+            rec, _ = synthgen.generate_recording(synthgen.MotionProfile(n_reps=2), seed=seed)
+            path = tmp_path / f"raw{seed}.csv"
+            dataio.write_raw_recording(rec, path)
+            path.with_name(f"raw{seed}.meta.json").unlink()
+            segments += dataio.build_segments(dataio.load_recording(path))
+        out = tmp_path / "segments.csv"
+        with pytest.raises(SchemaError, match="unknown_unknown_day0_rep00"):
+            dataio.write_segments(segments, out)
+        assert not out.exists()
 
     def test_raw_recording_round_trip(self, tmp_path):
         rec, _ = synthgen.generate_recording(synthgen.MotionProfile(n_reps=2), seed=9)

@@ -241,6 +241,19 @@ class TestErrors:
         assert metrics.mae(a, b) ** 2 <= metrics.mse(a, b) + 1e-9
 
 
+@pytest.mark.parametrize(
+    "metric", [metrics.mse, metrics.mae, metrics.cosine_sim, metrics.fft_cosine_sim]
+)
+@pytest.mark.parametrize(
+    "a, b, error",
+    [([], [], EmptyInputError), ([1.0], [1.0, 2.0], ShapeError)],
+    ids=["empty", "length_mismatch"],
+)
+def test_every_metric_checks_its_pair_alike(metric, a, b, error):
+    with pytest.raises(error):
+        metric(a, b)
+
+
 class TestReport:
     def _report(self):
         rng = np.random.default_rng(7)

@@ -421,6 +421,10 @@ class TestPreprocess:
         # without the notch stage, 50 Hz survives the band-pass
         assert np.sqrt(np.mean(y.samples[2000:] ** 2)) > 0.5
 
+    def test_unknown_stage_rejected_when_configured(self):
+        with pytest.raises(ConfigError, match="'foo'"):
+            dsp.FilterChainConfig(stages=("highpass", "foo"))
+
 
 # ---------------------------------------------------------------------------
 # compute_envelope / normalize_envelope
