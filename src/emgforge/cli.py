@@ -263,6 +263,8 @@ def cmd_stream_bench(args) -> None:
     p50, p90, p99 = (np.percentile(latencies * 1e3, q) for q in (50, 90, 99))
     print(f"samples: {n_samples}")
     print(f"latency ms: p50={p50:.4f} p90={p90:.4f} p99={p99:.4f}")
+    # The first step after a fresh state also builds and folds the plan.
+    print(f"first step ms: {latencies[0] * 1e3:.4f}")
     print(f"max |streaming - batch| = {deviation:.3e}")
     # `not (<=)` so a NaN deviation (weights that overflow) also counts as a breach
     if not deviation <= STREAM_TOLERANCE:

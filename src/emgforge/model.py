@@ -4,9 +4,11 @@ Architecture: 1x1 input projection, a stack of dilated causal blocks with
 gated activations and residual + skip paths, a skip sum feeding a causal
 sliding-window convolution for context aggregation, and a linear 1x1 output
 head (no final nonlinearity, so amplitude is unbounded). Dilation doubles
-per block. The skips, context conv and head are linear, so the batch pass
-runs them as one folded op (tensor.readout) on the same lag fold of head
-and context that the stream plan's tail is built from. A streaming
+per block. The batch pass runs each block as two autodiff ops, the dilated
+conv with its activation and the residual 1x1 with its add, so a training
+graph keeps no pre-activation. The skips, context conv and head are
+linear, so it runs them as one folded op (tensor.readout) on the same lag
+fold of head and context that the stream plan's tail is built from. A streaming
 forward pass reproduces the batch output within rounding from one store
 of every block's recent inputs and a plan folded from the weights. A
 step gathers all history taps in one indexed read, then runs each block
@@ -32,13 +34,12 @@ from .tensor import (
     ConvKernel,
     Tensor,
     as_tensor,
-    add,
     conv1d_causal,
-    gated_activation,
+    conv_activation,
     he_uniform_init,
     lag_fold,
     readout,
-    relu,
+    residual_add,
     scale_channels,
     stack_taps,
 )
@@ -123,21 +124,24 @@ class ModelWeights:
         yield "context", self.context
         yield "output_proj", self.output_proj
 
-    def parameter_arrays(self) -> dict:
+    def _named_arrays(self, arrays) -> dict:
+        """{checkpoint array name: array} over every kernel's arrays(kernel)."""
         out = {}
         for name, kern in self.named_kernels():
-            out[f"{name}.weights"] = kern.weights
-            out[f"{name}.bias"] = kern.bias
+            out.update(zip(_array_names(name), arrays(kern)))
         return out
 
+    def parameter_arrays(self) -> dict:
+        return self._named_arrays(lambda kern: (kern.weights, kern.bias))
+
     def gradient_arrays(self) -> dict:
-        out = {}
-        for name, kern in self.named_kernels():
-            gw = kern.grad_weights if kern.grad_weights is not None else np.zeros_like(kern.weights)
-            gb = kern.grad_bias if kern.grad_bias is not None else np.zeros_like(kern.bias)
-            out[f"{name}.weights"] = gw
-            out[f"{name}.bias"] = gb
-        return out
+        """The same keys as parameter_arrays(); zeros where no gradient ran."""
+        return self._named_arrays(
+            lambda kern: (
+                kern.grad_weights if kern.grad_weights is not None else np.zeros_like(kern.weights),
+                kern.grad_bias if kern.grad_bias is not None else np.zeros_like(kern.bias),
+            )
+        )
 
     def zero_grads(self) -> None:
         for _, kern in self.named_kernels():
@@ -182,12 +186,16 @@ def _kernel_layout(config: ModelConfig):
     yield "output_proj", (config.out_channels, c_skip, 1), 1
 
 
+def _array_names(kernel_name: str) -> tuple[str, str]:
+    """The checkpoint names of a kernel's weight and bias arrays."""
+    return f"{kernel_name}.weights", f"{kernel_name}.bias"
+
+
 def _manifest_layout(config: ModelConfig):
     """(name, shape) of every checkpoint array, in file order."""
     yield from (("input_offset", (config.in_channels,)), ("input_scale", (config.in_channels,)))
     for name, shape, _ in _kernel_layout(config):
-        yield f"{name}.weights", shape
-        yield f"{name}.bias", shape[:1]
+        yield from zip(_array_names(name), (shape, shape[:1]))
 
 
 def _assemble(config: ModelConfig, offset, scale, k: dict) -> ModelWeights:
@@ -207,10 +215,6 @@ def init_weights(config: ModelConfig, seed: int = 0) -> ModelWeights:
     return _assemble(config, np.zeros(config.in_channels), np.ones(config.in_channels), kernels)
 
 
-def _activate(pre: Tensor, activation: str) -> Tensor:
-    return gated_activation(pre) if activation == "gated" else relu(pre)
-
-
 def forward(weights: ModelWeights, x) -> Tensor:
     """Full-sequence forward pass: [in_channels x T] -> [out_channels x T]."""
     cfg = weights.config
@@ -225,10 +229,9 @@ def forward(weights: ModelWeights, x) -> Tensor:
     gates = []
     last = weights.blocks[-1]
     for blk in weights.blocks:
-        g = _activate(conv1d_causal(z, blk.dilated), cfg.activation)
-        gates.append(g)
+        gates.append(conv_activation(z, blk.dilated, cfg.activation))
         if blk is not last:  # the last block's residual output is never read
-            z = add(z, conv1d_causal(g, blk.residual))
+            z = residual_add(z, gates[-1], blk.residual)
     skips = [blk.skip for blk in weights.blocks]
     return readout(gates, skips, weights.context, weights.output_proj)
 
@@ -639,5 +642,5 @@ def load_weights(path, expected_config: ModelConfig | None = None) -> ModelWeigh
         raise CheckpointError(f"checkpoint has {trailing} trailing bytes after the last blob")
 
     layout = _kernel_layout(config)
-    kernels = {n: ConvKernel(arrays[f"{n}.weights"], arrays[f"{n}.bias"], d) for n, _, d in layout}
+    kernels = {n: ConvKernel(*(arrays[a] for a in _array_names(n)), d) for n, _, d in layout}
     return _assemble(config, arrays["input_offset"], arrays["input_scale"], kernels)

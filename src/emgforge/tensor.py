@@ -1,19 +1,23 @@
 """Rank-2 tensor engine with reverse-mode automatic differentiation.
 
 Shapes are [channels x time]; scalars are (1, 1). The op set is exactly
-what a dilated-causal-convolution regressor needs: causal conv, gated and
-relu activations, the folded skip -> context -> head readout, elementwise
-arithmetic, full reductions, and an Adam step. Everything is float64 numpy
-with a fixed reduction order, so a given input always produces
-bit-identical results. The causal conv runs on one stack of its input's
-delayed copies in the weights' own order (stack_taps), shared with the
-model's block path; it equals the per-tap loop within 1e-12 relative.
+what a dilated-causal-convolution regressor needs: causal conv, the conv
+and its gated or relu activation as one op (conv_activation), a residual
+conv and its add as one op (residual_add), the folded skip -> context ->
+head readout, elementwise arithmetic, full reductions, and an Adam step.
+The standalone activations are the unfused chain the fused ops equal.
+Everything is float64 numpy with a fixed reduction order, so a given input
+always produces bit-identical results. The causal conv runs on one stack
+of its input's delayed copies in the weights' own order (stack_taps),
+shared with the model's block path; it equals the per-tap loop within
+1e-12 relative.
 
 An op run while gradients are enabled records its inputs, its backward
-function and a creation number on its output. backward(loss) runs the ops
-reachable from the loss newest first, accumulating gradients into every
-tensor and kernel that requires them, and frees each op once it has run, so
-a graph is backpropagated once. Recording is a per-context setting:
+function and a creation number on its output. The backward function keeps
+only the arrays it reads, so a fused op's intermediates are freed when its
+forward returns. backward(loss) runs the ops reachable from the loss newest
+first, accumulating gradients into every tensor and kernel that requires
+them, and frees each op once it has run, so a graph is backpropagated once. Recording is a per-context setting:
 no_grad() in one thread never stops recording in another.
 """
 
@@ -225,16 +229,6 @@ def mean_all(x: Tensor) -> Tensor:
     return _result(np.mean(x.data).reshape(1, 1), (x,), backward)
 
 
-def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0.0
-
-    def backward(out):
-        if x.requires_grad:
-            _accumulate(x, out.grad * mask, owned=True)
-
-    return _result(np.where(mask, x.data, 0.0), (x,), backward)
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function without masks: exp(min(x, 0)) / (1 + exp(-|x|)).
 
@@ -251,25 +245,55 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def gated_activation(x: Tensor) -> Tensor:
-    """tanh(top half) * sigmoid(bottom half) along the channel axis."""
-    channels = x.data.shape[0]
-    if channels % 2 != 0:
-        raise ShapeError(f"gated activation needs an even channel count, got {channels}")
-    half = channels // 2
-    th = np.tanh(x.data[:half])
-    sg = _sigmoid(x.data[half:])
+def _gated(pre: np.ndarray):
+    """tanh(top half) * sigmoid(bottom half) of pre along the channel axis,
+    and the map from the output's gradient to pre's. The map keeps the two
+    halves' activations and the output, not pre."""
+    shape = pre.shape
+    if shape[0] % 2 != 0:
+        raise ShapeError(f"gated activation needs an even channel count, got {shape[0]}")
+    half = shape[0] // 2
+    th = np.tanh(pre[:half])
+    sg = _sigmoid(pre[half:])
+    out = th * sg
+
+    def grad_of(g):  # [sg * (1 - th^2); out * (1 - sg)] * g, in place
+        grad = np.empty(shape)
+        top, bottom, halves = grad[:half], grad[half:], grad.reshape(2, half, -1)
+        np.multiply(np.subtract(1.0, np.square(th, out=top), out=top), sg, out=top)
+        np.multiply(np.subtract(1.0, sg, out=bottom), out, out=bottom)
+        np.multiply(halves, g, out=halves)
+        return grad
+
+    return out, grad_of
+
+
+def _relu(pre: np.ndarray):
+    """max(pre, 0) and the map from the output's gradient to pre's."""
+    mask = pre > 0.0
+    return np.where(mask, pre, 0.0), lambda g: g * mask
+
+
+_ACTIVATIONS = {"gated": _gated, "relu": _relu}
+
+
+def _activation_op(x: Tensor, activate) -> Tensor:
+    out_data, grad_of = activate(x.data)
 
     def backward(out):
-        if x.requires_grad:  # [sg * (1 - th^2); out * (1 - sg)] * out.grad, in place
-            grad = np.empty(x.data.shape)
-            top, bottom, halves = grad[:half], grad[half:], grad.reshape(2, half, -1)
-            np.multiply(np.subtract(1.0, np.square(th, out=top), out=top), sg, out=top)
-            np.multiply(np.subtract(1.0, sg, out=bottom), out.data, out=bottom)
-            np.multiply(halves, out.grad, out=halves)
-            _accumulate(x, grad, owned=True)
+        if x.requires_grad:
+            _accumulate(x, grad_of(out.grad), owned=True)
 
-    return _result(th * sg, (x,), backward)
+    return _result(out_data, (x,), backward)
+
+
+def relu(x: Tensor) -> Tensor:
+    return _activation_op(x, _relu)
+
+
+def gated_activation(x: Tensor) -> Tensor:
+    """tanh(top half) * sigmoid(bottom half) along the channel axis."""
+    return _activation_op(x, _gated)
 
 
 def scale_channels(x: Tensor, offset: np.ndarray, scale: np.ndarray) -> Tensor:
@@ -300,42 +324,73 @@ def stack_taps(x: np.ndarray, k: int, dilation: int, out: np.ndarray, context=No
     return out
 
 
+def _conv_data(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
+    """bias + one product of the weights with x's stacked taps, not kept."""
+    if kernel.in_channels != x.shape[0]:
+        raise ShapeError(f"kernel expects {kernel.in_channels} input channels, got {x.shape[0]}")
+    k, (c_in, t_len) = kernel.size, x.shape
+    taps = x if k == 1 else stack_taps(x, k, kernel.dilation, np.empty((c_in * k, t_len)))
+    out = kernel.weights.reshape(kernel.weights.shape[0], -1) @ taps
+    out += kernel.bias[:, None]
+    return out
+
+
+def _conv_backward(x: Tensor, kernel: ConvKernel, g: np.ndarray) -> None:
+    """Accumulate the conv's gradients for the output gradient g: the weights'
+    tap by tap from x, and x's from one product whose delayed taps are added
+    back shifted."""
+    k, d = kernel.size, kernel.dilation
+    c_out, c_in = kernel.weights.shape[:2]
+    t_len = g.shape[1]
+    lags = [(j, (k - 1 - j) * d) for j in range(k) if (k - 1 - j) * d < t_len]
+    grad_weights, grad_bias = _kernel_grads(kernel)
+    for j, lag in lags:
+        grad_weights[:, :, j] += g[:, lag:] @ x.data[:, : t_len - lag].T
+    grad_bias += g.sum(axis=1)
+    if x.requires_grad:
+        grad_taps = kernel.weights.T.reshape(k * c_in, c_out) @ g  # tap-major
+        grad_x = grad_taps[(k - 1) * c_in :]
+        for j, lag in lags[:-1]:
+            grad_x[:, : t_len - lag] += grad_taps[j * c_in : (j + 1) * c_in, lag:]
+        _accumulate(x, grad_x, owned=True)
+
+
 def conv1d_causal(x: Tensor, kernel: ConvKernel) -> Tensor:
     """Causal dilated 1-D convolution, left-padded so output length == T.
 
     y[c, t] = bias[c] + sum_{i,j} w[c, i, j] * x[i, t - (k-1-j)*d]
     (x indexed with zeros before t=0); tap j = k-1 reads the current sample.
     Forward is one product over the stacked taps, not kept for backward.
-    Backward takes the weight gradient tap by tap from x, and the input
-    gradient from one product whose delayed taps are added back shifted.
     Outputs and gradients equal the per-tap loop within 1e-12 of max-abs.
     """
-    if kernel.in_channels != x.data.shape[0]:
-        raise ShapeError(
-            f"kernel expects {kernel.in_channels} input channels, got {x.data.shape[0]}"
-        )
-    k, d = kernel.size, kernel.dilation
-    c_out, c_in = kernel.weights.shape[:2]
-    t_len = x.data.shape[1]
-    taps = x.data if k == 1 else stack_taps(x.data, k, d, np.empty((c_in * k, t_len)))
-    out_data = kernel.weights.reshape(c_out, -1) @ taps
-    out_data += kernel.bias[:, None]
-    lags = [(j, (k - 1 - j) * d) for j in range(k) if (k - 1 - j) * d < t_len]
+    out_data = _conv_data(x.data, kernel)
+    return _result(out_data, (x,), lambda out: _conv_backward(x, kernel, out.grad), requires=True)
+
+
+def conv_activation(x: Tensor, kernel: ConvKernel, activation: str) -> Tensor:
+    """The activation ("gated" or "relu") of conv1d_causal(x, kernel) as one
+    op. The pre-activation is dropped when the forward returns: backward
+    maps the output's gradient to it from what the activation keeps, then
+    runs the conv's backward."""
+    out_data, grad_of = _ACTIVATIONS[activation](_conv_data(x.data, kernel))
+    return _result(
+        out_data, (x,), lambda out: _conv_backward(x, kernel, grad_of(out.grad)), requires=True
+    )
+
+
+def residual_add(z: Tensor, g: Tensor, kernel: ConvKernel) -> Tensor:
+    """add(z, conv1d_causal(g, kernel)) as one op, written into one array."""
+    out_data = _conv_data(g.data, kernel)
+    if out_data.shape != z.data.shape:
+        raise ShapeError(f"residual_add: shape mismatch {z.data.shape} vs {out_data.shape}")
+    out_data += z.data
 
     def backward(out):
-        g = out.grad
-        grad_weights, grad_bias = _kernel_grads(kernel)
-        for j, lag in lags:
-            grad_weights[:, :, j] += g[:, lag:] @ x.data[:, : t_len - lag].T
-        grad_bias += g.sum(axis=1)
-        if x.requires_grad:
-            grad_taps = kernel.weights.T.reshape(k * c_in, c_out) @ g  # tap-major
-            grad_x = grad_taps[(k - 1) * c_in :]
-            for j, lag in lags[:-1]:
-                grad_x[:, : t_len - lag] += grad_taps[j * c_in : (j + 1) * c_in, lag:]
-            _accumulate(x, grad_x, owned=True)
+        if z.requires_grad:
+            _accumulate(z, out.grad)
+        _conv_backward(g, kernel, out.grad)
 
-    return _result(out_data, (x,), backward, requires=True)
+    return _result(out_data, (z, g), backward, requires=True)
 
 
 def lag_fold(context: ConvKernel, head: ConvKernel) -> np.ndarray:

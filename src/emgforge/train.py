@@ -3,11 +3,12 @@
 One epoch draws random fixed-length crops covering each training segment
 once in expectation and takes one Adam step per batch. The windows of a
 batch run forward and backward on a thread pool, each on its own gradient
-view of the weights; their gradients are summed in window order, which
-gives the same bits as accumulating them one window after another.
-Validation is a full-length forward pass over the held-out segments, with
-the losses reduced in fixed order; the weights from the best validation
-epoch are restored before returning.
+view of the weights; their gradients are summed in window order as they
+arrive, which gives the same bits as accumulating them one window after
+another. Validation scores each held-out segment as eval does, through the
+stream plan's block path on the pool, with the losses reduced in fixed
+order; the weights from the best validation epoch are restored before
+returning.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from . import metrics
 from .dataio import DatasetSplit, MergedSegment, make_windows
 from .errors import ConfigError, DivergenceError, InsufficientDataError, ShapeError
 from .model import ModelWeights, StreamState, forward, forward_streaming, receptive_field
-from .tensor import Tensor, adam_step, backward, mean_all, mul, no_grad, sub
+from .tensor import Tensor, adam_step, backward, mean_all, mul, sub
 
 
 @dataclass
@@ -174,32 +175,44 @@ def window_workers(batch_size: int) -> tuple[int, str]:
     return max(1, min(batch_size, cpus // blas)), source
 
 
-def _pool_map(pool: ThreadPoolExecutor | None, fn, arg_lists) -> list:
-    """[fn(*args) for args in arg_lists], in order, on `pool` if given.
+def _pool_map(pool: ThreadPoolExecutor | None, fn, arg_lists):
+    """fn(*args) for each args in arg_lists, yielded in order, on `pool` if given.
 
     Each call runs in a copy of the caller's context, so the caller's
-    no_grad() and np.errstate settings hold inside the workers.
+    no_grad() and np.errstate settings hold inside the workers. A result
+    is released here once yielded, so a caller that consumes the results
+    as they come holds only those not yet read.
     """
     if pool is None:
-        return [fn(*args) for args in arg_lists]
+        yield from (fn(*args) for args in arg_lists)
+        return
     futures = [pool.submit(contextvars.copy_context().run, fn, *args) for args in arg_lists]
+    futures.reverse()
     try:
-        return [f.result() for f in futures]
+        while futures:
+            yield futures.pop().result()
     finally:
         for f in futures:
             f.cancel()
 
 
+def _predict(weights: ModelWeights, seg: MergedSegment) -> np.ndarray:
+    """The segment's predictions, streamed as one block call on a fresh state.
+    The block path runs at most 1 024 columns at a time, so memory does not
+    grow with segment length. Predictions match forward() within 1e-9."""
+    return forward_streaming(weights, StreamState(weights.config), seg.imu)
+
+
 def _segment_loss(weights: ModelWeights, seg: MergedSegment) -> float:
-    return metrics.mse(forward(weights, Tensor(seg.imu)).data[0], seg.target)
+    return metrics.mse(_predict(weights, seg), seg.target)
 
 
 def validation_loss(
     weights: ModelWeights, segments: list[MergedSegment], pool: ThreadPoolExecutor | None = None
 ) -> float:
-    """Mean full-length MSE over segments, reduced in fixed segment order."""
-    with no_grad():
-        losses = _pool_map(pool, _segment_loss, [(weights, seg) for seg in segments])
+    """Mean full-length MSE over segments, each scored as eval scores it,
+    reduced in fixed segment order."""
+    losses = list(_pool_map(pool, _segment_loss, [(weights, seg) for seg in segments]))
     return float(np.mean(losses))
 
 
@@ -248,23 +261,23 @@ def train(
                 split, cfg.crop_length, cfg.batch_size, cfg.seed, epoch=epoch, min_length=rf
             ):
                 inv_b = Tensor(np.array([[1.0 / batch.inputs.shape[0]]]))
-                losses, window_grads = zip(
-                    *_pool_map(
-                        pool,
-                        _window_gradients,
-                        [(weights, x, y, inv_b) for x, y in zip(batch.inputs, batch.targets)],
-                    )
-                )
-                for loss in losses:
-                    loss_sum += loss
-                n_windows += len(losses)
                 # Each window's gradients start from zero, so summing them in
                 # window order adds the same terms in the same order as one
-                # accumulator shared by the windows would.
-                grads = window_grads[0]
-                for later in window_grads[1:]:
-                    for name, g in later.items():
-                        grads[name] += g
+                # accumulator shared by the windows would. Each set is added
+                # and dropped as it comes, not held until the batch ends.
+                grads = None
+                for loss, window in _pool_map(
+                    pool,
+                    _window_gradients,
+                    [(weights, x, y, inv_b) for x, y in zip(batch.inputs, batch.targets)],
+                ):
+                    loss_sum += loss
+                    n_windows += 1
+                    if grads is None:
+                        grads = window
+                    else:
+                        for name, g in window.items():
+                            grads[name] += g
                 try:
                     adam_state = adam_step(params, grads, adam_state, cfg.learning_rate)
                 except DivergenceError as exc:
@@ -316,15 +329,8 @@ def evaluate(
 
 
 def predictions(weights: ModelWeights, segments: list[MergedSegment]):
-    """(segment, prediction) pairs, each segment streamed as one block from a
-    reset state, so memory does not grow with segment length. Predictions
-    match forward() within 1e-9."""
-    state = StreamState(weights.config)
-    out = []
-    for seg in segments:
-        state.reset()
-        out.append((seg, forward_streaming(weights, state, seg.imu)))
-    return out
+    """(segment, prediction) pairs, in segment order."""
+    return [(seg, _predict(weights, seg)) for seg in segments]
 
 
 def write_run_metadata(path, run_config_snapshot: dict) -> None:

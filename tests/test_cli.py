@@ -471,6 +471,16 @@ class TestTrainEvalBench:
         out = capsys.readouterr().out
         assert "p99" in out and "streaming - batch" in out
 
+    def test_stream_bench_reports_first_step(self, run_dir, capsys):
+        rc = cli.main(
+            ["stream-bench", "--ckpt", str(run_dir / "model.ckpt"), "--seconds", "0.05"]
+        )
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        first = [line for line in lines if line.startswith("first step ms: ")]
+        assert len(first) == 1
+        assert float(first[0].split(": ")[1]) > 0.0
+
     def test_stream_bench_zero_seconds_rejected(self, run_dir):
         rc = cli.main(
             ["stream-bench", "--ckpt", str(run_dir / "model.ckpt"), "--seconds", "0"]

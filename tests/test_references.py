@@ -2,6 +2,7 @@
 or by the benchmark harness; code that only tests call is not kept."""
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,3 +46,24 @@ def test_every_top_level_definition_is_used_outside_tests():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in referenced
     }
     assert unused == TEST_ONLY
+
+
+def test_benchmark_layers_resolve():
+    """perfbench/run.py looks up every LAYERS entry at start-up, so a name
+    missing from its module fails every benchmark run. run.py is parsed, not
+    imported: importing it sets the BLAS thread variables."""
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text(encoding="utf-8"))
+    (layers,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets)
+    ]
+    pairs = [tuple(value) for value in ast.literal_eval(layers).values()]
+    assert pairs
+    missing = [
+        f"{module}.{name}"
+        for module, name in pairs
+        if not hasattr(importlib.import_module(f"emgforge.{module}"), name)
+    ]
+    assert missing == []

@@ -295,6 +295,85 @@ def readout_grads(op, activation, pre, skips, context, head, target):
     return y.data, grads + [x.grad for x in inputs]
 
 
+def block_case(seed, activation, k, t_len, c=3):
+    """An input, a dilated kernel, a k-tap residual kernel and a target, all random."""
+    rng = np.random.default_rng(seed)
+    pre_ch = 2 * c if activation == "gated" else c
+    dilated = ConvKernel(rng.standard_normal((pre_ch, c, k)), rng.standard_normal(pre_ch), 2)
+    residual = ConvKernel(rng.standard_normal((c, c, k)), rng.standard_normal(c))
+    return rng.standard_normal((c, t_len)), dilated, residual, rng.standard_normal((c, t_len))
+
+
+def unfused_block(x, dilated, residual, activation):
+    """The conv, its activation, the residual conv and the add as separate
+    ops: the reference that conv_activation and residual_add fuse."""
+    activate = gated_activation if activation == "gated" else relu
+    g = activate(conv1d_causal(x, dilated))
+    return g, add(x, conv1d_causal(g, residual))
+
+
+def fused_block(x, dilated, residual, activation):
+    g = T.conv_activation(x, dilated, activation)
+    return g, T.residual_add(x, g, residual)
+
+
+def block_grads(op, x, dilated, residual, target, activation):
+    """op's gate and output, and every gradient of sum(output * target)."""
+    kernels = [dilated.copy(), residual.copy()]
+    xt = Tensor(x, requires_grad=True)
+    g, y = op(xt, *kernels, activation)
+    backward(sum_all(mul(y, Tensor(target))))
+    grads = [a for kern in kernels for a in (kern.grad_weights, kern.grad_bias)]
+    return [g.data, y.data, xt.grad, g.grad, *grads]
+
+
+class TestFusedBlockOps:
+    @pytest.mark.parametrize("activation", ["gated", "relu"])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("t_len", [1, 3, 257])
+    def test_matches_unfused_chain(self, activation, k, t_len):
+        x, dilated, residual, target = block_case(k + t_len, activation, k, t_len)
+        got = block_grads(fused_block, x, dilated, residual, target, activation)
+        want = block_grads(unfused_block, x, dilated, residual, target, activation)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert max_rel_error(a, b) <= 1e-12
+
+    @pytest.mark.parametrize("activation", ["gated", "relu"])
+    def test_gradients_match_finite_differences(self, activation):
+        x, dilated, residual, target = block_case(8, activation, k=3, t_len=10, c=2)
+
+        def loss_value(xt):
+            diff = sub(fused_block(xt, dilated, residual, activation)[1], Tensor(target))
+            return mean_all(mul(diff, diff))
+
+        xt = Tensor(x, requires_grad=True)
+        backward(loss_value(xt))
+        checked = [(kern.weights, kern.grad_weights) for kern in (dilated, residual)]
+        checked += [(kern.bias, kern.grad_bias) for kern in (dilated, residual)]
+        checked.append((x, xt.grad))
+        h = 1e-6
+        for array, grad in checked:
+            flat = array.ravel()
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + h
+                up = loss_value(Tensor(x)).data[0, 0]
+                flat[i] = orig - h
+                dn = loss_value(Tensor(x)).data[0, 0]
+                flat[i] = orig
+                fd = (up - dn) / (2 * h)
+                ad = grad.ravel()[i]
+                assert abs(ad - fd) <= 1e-6 * max(abs(ad), abs(fd), 1e-3)
+
+    def test_bad_shapes_rejected(self):
+        x, dilated, residual, _ = block_case(0, "gated", 2, 5)
+        with pytest.raises(ShapeError):  # an odd channel count cannot gate
+            T.conv_activation(Tensor(x), residual, "gated")
+        with pytest.raises(ShapeError):  # the residual conv gives 3 channels, z has 2
+            T.residual_add(Tensor(x[:2]), Tensor(x), residual)
+
+
 class TestReadout:
     @pytest.mark.parametrize("activation", ["gated", "relu"])
     @pytest.mark.parametrize("n_out", [1, 2])

@@ -47,6 +47,17 @@ def tiny_split(n_segments=6, length=400, seed=0):
     return dataio.DatasetSplit(train=segs[:-1], test=segs[-1:], seed=seed)
 
 
+def traced_peak_bytes(fn, *args) -> int:
+    """Peak traced allocation of fn(*args) above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 class TestMseLoss:
     def test_equal_tensors(self):
         p = Tensor([[1.0, 2.0]])
@@ -113,6 +124,33 @@ class TestTrainLoop:
         a = tr.validation_loss(w, split.test)
         b = tr.validation_loss(w, split.test)
         assert a == b
+
+    def test_validation_loss_matches_forward(self):
+        split = tiny_split(n_segments=3, length=2500)
+        w = init_weights(ModelConfig(), seed=7)
+        with no_grad():
+            want = np.mean(
+                [np.mean((forward(w, Tensor(s.imu)).data[0] - s.target) ** 2) for s in split.train]
+            )
+        assert abs(tr.validation_loss(w, split.train) - want) <= 1e-12 * want
+
+    def test_validation_memory_does_not_grow_with_segment_length(self):
+        w = init_weights(ModelConfig(), seed=6)
+
+        def traced_peak(length):
+            segments = tiny_split(n_segments=1, length=length).test
+            return traced_peak_bytes(tr.validation_loss, w, segments)
+
+        assert traced_peak(40_000) <= 2 * traced_peak(4_000)
+
+    def test_window_gradients_peak_memory(self):
+        # A window's graph keeps only what backward reads: no conv
+        # pre-activation and no separate residual conv output.
+        w = init_weights(ModelConfig(), seed=8)
+        rng = np.random.default_rng(8)
+        args = (w, rng.standard_normal((6, 1024)), rng.random((1, 1024)), Tensor(0.25))
+        tr._window_gradients(*args)  # first-call allocations stay out of the figure
+        assert traced_peak_bytes(tr._window_gradients, *args) <= 10 * 2**20
 
     def test_learns_and_restores_best(self):
         split = tiny_split()
@@ -233,15 +271,8 @@ def serial_train(weights, split, cfg):
                 loss_sum += float(loss.data[0, 0])
                 n += 1
             state = adam_step(params, weights.gradient_arrays(), state, cfg.learning_rate)
-        with no_grad():
-            val = float(
-                np.mean(
-                    [
-                        float(np.mean((forward(weights, Tensor(s.imu)).data[0] - s.target) ** 2))
-                        for s in split.test
-                    ]
-                )
-            )
+        pairs = tr.predictions(weights, split.test)
+        val = float(np.mean([float(np.mean((pred - s.target) ** 2)) for s, pred in pairs]))
         losses.append((loss_sum / n, val))
         if stopper.update(val):
             best = {k: v.copy() for k, v in params.items()}
@@ -397,14 +428,7 @@ class TestEvaluate:
         w = init_weights(ModelConfig(), seed=6)
 
         def traced_peak(length):
-            segments = tiny_split(n_segments=1, length=length).test
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                tr.predictions(w, segments)
-                return tracemalloc.get_traced_memory()[1] - before
-            finally:
-                tracemalloc.stop()
+            return traced_peak_bytes(tr.predictions, w, tiny_split(n_segments=1, length=length).test)
 
         assert traced_peak(40_000) <= 2 * traced_peak(4_000)
 
