@@ -92,6 +92,8 @@ def _load_segments(data_dir: Path, cfg: RunConfig, motion: str | None):
 def _write_overlay_svg(path, target: np.ndarray, prediction: np.ndarray, title: str) -> None:
     """Static overlay plot of true vs predicted envelope (deterministic bytes)."""
     width, height, margin = 720.0, 240.0, 30.0
+    # XML-escaped by hand: xml.sax.saxutils would pull in urllib and ssl.
+    title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     n = target.size
     lo = min(float(target.min()), float(prediction.min()), 0.0)
     hi = max(float(target.max()), float(prediction.max()), 1e-12)

@@ -325,7 +325,8 @@ def load_recording(
     SchemaError names it, unless it lies past the end of the shorter file.
 
     The sample rate is the caller's `fs`, else the sidecar's, else 1000 Hz;
-    a sidecar `fs` that disagrees with the caller's raises a SchemaError.
+    a sidecar `fs` that disagrees with the caller's raises a SchemaError, and
+    so does a sidecar subject or motion holding a path separator.
     """
     path = Path(path)
     schema = dict(DEFAULT_SCHEMA if schema is None else schema)
@@ -361,6 +362,9 @@ def load_recording(
                 motion=_sidecar_value(raw, "motion", str, "unknown", sidecar),
                 day=_sidecar_value(raw, "day", int, 0, sidecar),
             )
+            for key, value in (("subject", meta.subject), ("motion", meta.motion)):
+                if "/" in value or "\\" in value:  # segment ids name output files
+                    raise SchemaError(f"{sidecar}: {key} {value!r} must not contain / or \\")
             if "fs" in raw:
                 sidecar_fs = _sidecar_value(raw, "fs", float, None, sidecar)
                 if fs is not None and float(fs) != sidecar_fs:

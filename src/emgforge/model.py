@@ -4,18 +4,20 @@ Architecture: 1x1 input projection, a stack of dilated causal blocks with
 gated activations and residual + skip paths, a skip sum feeding a causal
 sliding-window convolution for context aggregation, and a linear 1x1 output
 head (no final nonlinearity, so amplitude is unbounded). Dilation doubles
-per block. The batch pass runs each block as two autodiff ops, the dilated
-conv with its activation and the residual 1x1 with its add, so a training
-graph keeps no pre-activation. The skips, context conv and head are
-linear, so it runs them as one folded op (tensor.readout) on the same lag
-fold of head and context that the stream plan's tail is built from. A streaming
-forward pass reproduces the batch output within rounding from one store
-of every block's recent inputs and a plan folded from the weights. A
-step gathers all history taps in one indexed read, then runs each block
-as one product and its activation, and adds one product for skips,
-context and head. It takes one sample per step or a block of samples,
-run _BLOCK columns at a time, so its memory does not grow with the
-length of the input.
+per block.
+
+The network has one implementation, on a plan folded from the weights
+(_Plan). Per block it stacks the input's taps, takes one product and the
+activation, and adds the residual; the skips, context conv and head are
+linear, so one tail product and w shifted adds give the output. The batch
+pass forward() runs it over a whole input as one recorded autodiff op,
+whose backward is derived by hand on the plan. The block path runs the
+same code on chunks of a stream, with the stream's recent inputs as left
+context, so eval and validation memory does not grow with the input. A
+streaming step folds the plan further: it gathers all history taps in one
+indexed read, then runs each block as one product and its activation, and
+adds one product for skips, context and head. Streaming, in steps or
+blocks, reproduces the batch output within rounding.
 """
 
 from __future__ import annotations
@@ -33,14 +35,13 @@ from .errors import CheckpointError, ConfigError, ShapeError, StreamStateError
 from .tensor import (
     ConvKernel,
     Tensor,
+    accumulate,
+    accumulate_kernel,
     as_tensor,
-    conv1d_causal,
-    conv_activation,
+    grad_enabled,
     he_uniform_init,
     lag_fold,
-    readout,
-    residual_add,
-    scale_channels,
+    record,
     stack_taps,
 )
 
@@ -215,27 +216,6 @@ def init_weights(config: ModelConfig, seed: int = 0) -> ModelWeights:
     return _assemble(config, np.zeros(config.in_channels), np.ones(config.in_channels), kernels)
 
 
-def forward(weights: ModelWeights, x) -> Tensor:
-    """Full-sequence forward pass: [in_channels x T] -> [out_channels x T]."""
-    cfg = weights.config
-    x = as_tensor(x)
-    if x.data.shape[0] != cfg.in_channels:
-        raise ShapeError(
-            f"model expects {cfg.in_channels} input channels, got {x.data.shape[0]}"
-        )
-    z = conv1d_causal(
-        scale_channels(x, weights.input_offset, weights.input_scale), weights.input_proj
-    )
-    gates = []
-    last = weights.blocks[-1]
-    for blk in weights.blocks:
-        gates.append(conv_activation(z, blk.dilated, cfg.activation))
-        if blk is not last:  # the last block's residual output is never read
-            z = residual_add(z, gates[-1], blk.residual)
-    skips = [blk.skip for blk in weights.blocks]
-    return readout(gates, skips, weights.context, weights.output_proj)
-
-
 _BLOCK = 1024  # most columns the block path runs at once; sizes its buffers
 
 
@@ -244,7 +224,214 @@ def _rows(buf: np.ndarray, rows: int, n: int) -> np.ndarray:
     return buf[: rows * n].reshape(rows, n)
 
 
-class StreamState:
+class _Plan:
+    """The weights folded into the matrices the block kernel runs on.
+
+    Each dilated, residual and tail matrix carries its bias as a last
+    column, read against a constant 1. A gated kernel's gate half is
+    halved, so one tanh gives tanh(b/2) and g = tanh(a) * (1 + tanh(b/2)) / 2;
+    the residual and tail weights take the 1/2. The skip 1x1s, the context
+    conv and the head are linear: row m of output o's [w x N*(C+1)] tail is
+    what a column's gates add to that output m steps later. `outputs` output
+    channels get a tail; `tail` and `const` are channel 0's.
+
+    The arrays are filled in place by _build_plan.
+    """
+
+    def __init__(self, config: ModelConfig, outputs: int = 1):
+        self.config = config
+        k, c, w = config.kernel_size, config.residual_channels, config.context_window
+        n_blocks, n_in = config.num_blocks, config.in_channels
+        self.gated = config.activation == "gated"
+        p = 2 * c if self.gated else c  # pre-activation rows of a block
+        self.offset, self.scale = np.empty(n_in), np.empty(n_in)
+        self.input_w, self.input_b = np.empty((c, n_in)), np.empty(c)
+        self.dilated = np.empty((n_blocks, p, c * k + 1))
+        self.current = np.empty((n_blocks, p, c))  # current taps, contiguous for the fold
+        self.residual = np.empty((n_blocks - 1, c, c + 1))  # the last block's is never read
+        self.skips = np.empty((config.skip_channels, n_blocks, c + 1))
+        self.tails = np.empty((outputs, w, n_blocks * (c + 1)))
+        self.tail = self.tails[0]
+
+    def _build_plan(self, weights: ModelWeights) -> None:
+        if self.config != (cfg := weights.config):
+            raise StreamStateError(f"stream state built for {self.config}, model expects {cfg}")
+        kernels = ((n, k.weights.shape, k.dilation) for n, k in weights.named_kernels())
+        for have, want in itertools.zip_longest(kernels, _kernel_layout(cfg)):
+            if have != want:  # (name, shape, dilation) of a kernel, or None for a missing one
+                raise ShapeError(f"kernel {have} does not fit the model's layout: {want} expected")
+        c, p = self.config.residual_channels, self.dilated.shape[1]
+        half = 0.5 if self.gated else 1.0  # g = half * g'
+        self.offset[:], self.scale[:] = weights.input_offset, weights.input_scale
+        self.input_w[:] = weights.input_proj.weights[:, :, 0]
+        self.input_b[:] = weights.input_proj.bias
+        for i, blk in enumerate(weights.blocks):
+            dilated = self.dilated[i]
+            dilated[:, :-1] = blk.dilated.weights.reshape(p, -1)
+            dilated[:, -1] = blk.dilated.bias
+            dilated[c:] *= half
+            self.current[i] = dilated[:, :-1].reshape(p, c, -1)[:, :, -1]
+            if i < len(self.residual):
+                np.multiply(blk.residual.weights[:, :, 0], half, out=self.residual[i, :, :c])
+                self.residual[i, :, c] = blk.residual.bias
+            np.multiply(blk.skip.weights[:, :, 0], half, out=self.skips[:, i, :c])
+            self.skips[:, i, c] = blk.skip.bias
+        fold = lag_fold(weights.context, weights.output_proj)
+        head = weights.output_proj.weights[:, :, 0]
+        self.consts = []
+        for o, tail in enumerate(self.tails):
+            np.matmul(fold[:, o], self.skips.reshape(len(self.skips), -1), out=tail)
+            self.consts.append(float(head[o] @ weights.context.bias + weights.output_proj.bias[o]))
+        self.const = self.consts[0]
+        self.source = weights
+        self.folded = False
+
+
+def _project_input(plan: _Plan, x: np.ndarray, z: np.ndarray) -> None:
+    """z = the input projection of the normalized x, written in place."""
+    np.matmul(plan.input_w, (x - plan.offset[:, None]) * plan.scale[:, None], out=z)
+    z += plan.input_b[:, None]
+
+
+def _block_gates(plan: _Plan, i: int, z, stacked, pre, g1, context=None) -> None:
+    """Block i on its input z ([C x n]): its taps stacked into `stacked`
+    (zeros before z, or `context`), whose last row holds ones, one product
+    with its dilated matrix into `pre`, and the activation into g1's first C
+    rows. A gated block leaves [tanh a; 1 + tanh(b/2)] in `pre`."""
+    c, k = plan.config.residual_channels, plan.config.kernel_size
+    stack_taps(z, k, 2**i, stacked[:-1], context)
+    np.matmul(plan.dilated[i], stacked, out=pre)
+    if plan.gated:
+        np.tanh(pre, out=pre)
+        pre[c:] += 1.0
+        np.multiply(pre[:c], pre[c:], out=g1[:c])
+    else:
+        np.maximum(pre, 0.0, out=g1[:c])
+
+
+def _shifted_sum(contributions: np.ndarray, sums: np.ndarray) -> None:
+    """sums[..., t] += contributions[..., m, t - m] over the lags m, oldest
+    first, as the step adds them."""
+    n = contributions.shape[-1]
+    for m in range(contributions.shape[-2] - 1, -1, -1):
+        sums[..., m : m + n] += contributions[..., m, :]
+
+
+def forward(weights: ModelWeights, x) -> Tensor:
+    """Full-sequence forward pass: [in_channels x T] -> [out_channels x T].
+
+    One recorded op: the block path's code over all of x with zero left
+    context, on a plan built from the weights at each call. When recorded
+    it keeps each block's input z and activation for its backward
+    (_forward_backward); under no_grad it keeps neither.
+    """
+    cfg = weights.config
+    x = as_tensor(x)
+    if x.data.shape[0] != cfg.in_channels:
+        raise ShapeError(f"model expects {cfg.in_channels} input channels, got {x.data.shape[0]}")
+    plan = _Plan(cfg, cfg.out_channels)
+    plan._build_plan(weights)
+    c, n_blocks, t_len = cfg.residual_channels, cfg.num_blocks, x.data.shape[1]
+    z = np.empty((c, t_len))
+    _project_input(plan, x.data, z)
+    stacked = np.empty((c * cfg.kernel_size + 1, t_len))
+    stacked[-1] = 1.0
+    gates = np.empty((n_blocks * (c + 1), t_len))
+    gates[c :: c + 1] = 1.0
+    keep = grad_enabled()  # only a recorded op keeps what its backward reads
+    zs, pres = [], []
+    for i in range(n_blocks):
+        pre = np.empty((plan.dilated.shape[1], t_len))
+        g1 = gates[i * (c + 1) : (i + 1) * (c + 1)]
+        _block_gates(plan, i, z, stacked, pre, g1)
+        if keep:
+            zs.append(z)
+            pres.append(pre)
+        if i < n_blocks - 1:
+            z = z + plan.residual[i] @ g1
+    w = cfg.context_window
+    sums = np.zeros((cfg.out_channels, t_len + w))
+    _shifted_sum((plan.tails.reshape(-1, len(gates)) @ gates).reshape(-1, w, t_len), sums)
+    y = sums[:, :t_len] + np.array(plan.consts)[:, None]
+    return record(
+        y, (x,), lambda out: _forward_backward(plan, x, zs, pres, gates, out.grad), requires=True
+    )
+
+
+def _forward_backward(plan: _Plan, x: Tensor, zs, pres, gates, gy: np.ndarray) -> None:
+    """forward's backward for the output gradient gy, derived by hand on the
+    plan's layout: the tail's, then each block's newest first, then the
+    input projection's. A halved plan row's gradient maps back to its
+    weights by the same exact factor of 1/2."""
+    weights, cfg = plan.source, plan.config
+    c, k, w = cfg.residual_channels, cfg.kernel_size, cfg.context_window
+    n_out, t_len = gy.shape
+    half = 0.5 if plan.gated else 1.0
+    p = plan.dilated.shape[1]
+
+    # Contribution m of column t reaches output t + m: lags[o*w + m, t] = gy[o, t + m].
+    lags = np.zeros((n_out, w, t_len))
+    for m in range(min(w, t_len)):
+        lags[:, m, : t_len - m] = gy[:, m:]
+    lags = lags.reshape(n_out * w, t_len)
+    tails = plan.tails.reshape(n_out * w, -1)
+    d_tails = lags @ gates.T
+    # tails[o, m] = fold[m, o] @ skips, fold[m] = head . (context tap w-1-m).
+    fold = lag_fold(weights.context, weights.output_proj).transpose(1, 0, 2)
+    d_skips = (fold.reshape(n_out * w, -1).T @ d_tails).reshape(plan.skips.shape)
+    d_taps = (d_tails @ plan.skips.reshape(len(plan.skips), -1).T).reshape(n_out, w, -1)[:, ::-1]
+    head, context = weights.output_proj.weights[:, :, 0], weights.context
+    gy_sum = gy.sum(axis=1)
+    accumulate_kernel(context, np.einsum("os,oti->sit", head, d_taps), head.T @ gy_sum)
+    d_head = np.einsum("oti,sit->os", d_taps, context.weights) + np.outer(gy_sum, context.bias)
+    accumulate_kernel(weights.output_proj, d_head[:, :, None], gy_sum)
+
+    dz = np.zeros((c, t_len))  # block i's input gradient, built on block i+1's
+    d_pre, grad_taps = np.empty((p, t_len)), np.empty((k * c, t_len))
+    for i in range(cfg.num_blocks - 1, -1, -1):
+        blk, z, pre = weights.blocks[i], zs.pop(), pres.pop()  # freed after this block
+        rows = slice(i * (c + 1), (i + 1) * (c + 1))
+        g1 = gates[rows]
+        accumulate_kernel(blk.skip, (d_skips[:, i, :c] * half)[:, :, None], d_skips[:, i, c])
+        dg = tails[:, rows][:, :c].T @ lags
+        if i < len(plan.residual):  # z_{i+1} = z_i + residual_i @ g1
+            d_res = dz @ g1.T
+            accumulate_kernel(blk.residual, (d_res[:, :c] * half)[:, :, None], d_res[:, c])
+            dg += plan.residual[i, :, :c].T @ dz
+        if plan.gated:  # pre holds [tanh a; q], q = 1 + tanh(b/2), and g' = tanh a * q
+            th, q, top, bottom = pre[:c], pre[c:], d_pre[:c], d_pre[c:]
+            np.square(th, out=top)  # dg' * q * (1 - tanh(a)^2)
+            np.subtract(1.0, top, out=top)
+            top *= q
+            top *= dg
+            np.subtract(2.0, q, out=bottom)  # dg' * tanh a * (1 - tanh(b/2)^2), = q (2 - q)
+            bottom *= q
+            bottom *= th
+            bottom *= dg
+        else:
+            np.multiply(dg, g1[:c] > 0.0, out=d_pre)
+        # The dilated conv: its weights' gradient tap by tap from z, and z's
+        # from one tap-major product whose delayed taps are added back shifted.
+        lag_of = [(j, (k - 1 - j) * 2**i) for j in range(k) if (k - 1 - j) * 2**i < t_len]
+        grad_w = np.zeros((p, c, k))
+        for j, lag in lag_of:
+            grad_w[:, :, j] = d_pre[:, lag:] @ z[:, : t_len - lag].T
+        grad_b = d_pre.sum(axis=1)
+        grad_w[c:] *= half
+        grad_b[c:] *= half
+        accumulate_kernel(blk.dilated, grad_w, grad_b)
+        taps = plan.dilated[i, :, :-1].reshape(p, c, k).transpose(2, 1, 0).reshape(k * c, p)
+        np.matmul(taps, d_pre, out=grad_taps)
+        for j, lag in lag_of:
+            dz[:, : t_len - lag] += grad_taps[j * c : (j + 1) * c, lag:]
+
+    u = (x.data - plan.offset[:, None]) * plan.scale[:, None]
+    accumulate_kernel(weights.input_proj, (dz @ u.T)[:, :, None], dz.sum(axis=1))
+    if x.requires_grad:
+        accumulate(x, (plan.input_w.T @ dz) * plan.scale[:, None], owned=True)
+
+
+class StreamState(_Plan):
     """Causal inference in steps or blocks: one history store and a plan.
 
     The history store is a tape of [2L x N x C] rows, L = (k-1)2^(N-1) the
@@ -252,15 +439,8 @@ class StreamState:
     block's input z at the last L times, oldest first; before the stream
     began they read zero, the batch pass's left padding. New rows go in at
     the cursor, and when the tape is full its last L rows are copied to the
-    front, so its size is set by the receptive field, not the stream.
-
-    The plan folds the weights into preallocated matrices. Each dilated,
-    residual and tail matrix carries its bias as a last column, read against
-    a constant 1. A gated kernel's gate half is halved, so one tanh gives
-    tanh(b/2) and g = tanh(a) * (1 + tanh(b/2)) / 2; the residual and tail
-    weights take the 1/2. The skip 1x1s, the context conv and the head are
-    linear: row m of the [w x N*(C+1)] tail is what a step's gates add to
-    the prediction m steps ahead, summed into a buffer of future predictions.
+    front, so its size is set by the receptive field, not the stream. The
+    plan (_Plan) predicts output channel 0 into a buffer of future ones.
 
     A step runs on one flat vector: the input segment [v; 1; taps_0], then
     per block i the segment [z_i; a_i; 1; taps_{i+1}], where taps_i are
@@ -274,11 +454,12 @@ class StreamState:
     it needs no "+1". One product of the step tail with the segments then
     adds the step's gates to the future predictions.
 
-    A block of up to _BLOCK samples runs the unfolded plan on [channels x n]
-    arrays: each layer's taps are read from its context on the tape followed
-    by the block, and its last columns are written back. It leaves the tape
-    and the future predictions as the same samples fed one by one would, so
-    steps, blocks and reset() interleave freely.
+    A block of up to _BLOCK samples runs the plan on [channels x n] arrays
+    with forward()'s per-block code: each layer's taps are read from its
+    context on the tape followed by the block, and its last columns are
+    written back. It leaves the tape and the future predictions as the same
+    samples fed one by one would, so steps, blocks and reset() interleave
+    freely.
 
     The plan is built from the weights on the first call after construction
     or reset(), and again when a call is given another ModelWeights object,
@@ -287,11 +468,9 @@ class StreamState:
     """
 
     def __init__(self, config: ModelConfig):
-        self.config = config
         k, c, w = config.kernel_size, config.residual_channels, config.context_window
         n_blocks, n_in = config.num_blocks, config.in_channels
-        self.gated = config.activation == "gated"
-        p = 2 * c if self.gated else c  # pre-activation rows of a block
+        p = 2 * c if config.activation == "gated" else c
         h = (k - 1) * c  # history taps of a block, tap j of channel i at i*(k-1) + j
         self.span = (k - 1) * 2 ** (n_blocks - 1)
         self.tape = np.zeros((2 * self.span, n_blocks, c))
@@ -311,14 +490,9 @@ class StreamState:
         index = (self.span - lag)[:, None, :] * (n_blocks * c) + np.arange(c)[:, None]
         self.tap_index = (index + c * np.arange(n_blocks)[:, None, None]).reshape(n_blocks, h)
 
-        # The plan, filled in place by _build_plan.
-        self.offset, self.scale = np.empty(n_in), np.empty(n_in)
-        self.input_w, self.input_b = np.empty((c, n_in)), np.empty(c)
-        self.dilated = np.empty((n_blocks, p, c * k + 1))
-        self.current = np.empty((n_blocks, p, c))  # current taps, contiguous for the fold
-        self.residual = np.empty((n_blocks - 1, c, c + 1))  # the last block's is never read
-        self.skips = np.empty((config.skip_channels, n_blocks, c + 1))
-        self.tail = np.empty((w, n_blocks * (c + 1)))
+        # Allocated after the tape and step vector, or eval's fresh states fault more pages.
+        super().__init__(config)
+        # The step's transitions and tail, filled in place by _fold_steps.
         self.transitions = [np.zeros((c + p, lead)), *np.zeros((n_blocks - 1, c + p, width))]
         for trans in self.transitions[1:]:
             trans[:c, :c] = np.eye(c)  # z_i = z_{i-1} + residual, and no taps
@@ -353,32 +527,6 @@ class StreamState:
         if self.cursor + rows > len(self.tape):
             self.tape[: self.span] = self.tape[self.cursor - self.span : self.cursor]
             self.cursor = self.span
-
-    def _build_plan(self, weights: ModelWeights) -> None:
-        if self.config != (cfg := weights.config):
-            raise StreamStateError(f"stream state built for {self.config}, model expects {cfg}")
-        c, p = self.config.residual_channels, self.dilated.shape[1]
-        half = 0.5 if self.gated else 1.0  # g = half * g'
-        self.offset[:], self.scale[:] = weights.input_offset, weights.input_scale
-        self.input_w[:] = weights.input_proj.weights[:, :, 0]
-        self.input_b[:] = weights.input_proj.bias
-        for i, blk in enumerate(weights.blocks):
-            dilated = self.dilated[i]
-            dilated[:, :-1] = blk.dilated.weights.reshape(p, -1)
-            dilated[:, -1] = blk.dilated.bias
-            dilated[c:] *= half
-            self.current[i] = dilated[:, :-1].reshape(p, c, -1)[:, :, -1]
-            if i < len(self.residual):
-                np.multiply(blk.residual.weights[:, :, 0], half, out=self.residual[i, :, :c])
-                self.residual[i, :, c] = blk.residual.bias
-            np.multiply(blk.skip.weights[:, :, 0], half, out=self.skips[:, i, :c])
-            self.skips[:, i, c] = blk.skip.bias
-        fold = lag_fold(weights.context, weights.output_proj)[:, 0]  # output channel 0
-        np.matmul(fold, self.skips.reshape(len(self.skips), -1), out=self.tail)
-        head = weights.output_proj.weights[0, :, 0]
-        self.const = float(head @ weights.context.bias + weights.output_proj.bias[0])
-        self.source = weights
-        self.folded = False
 
     def _fold_steps(self) -> None:
         """Fold the plan into the step's transitions and tail, on the first
@@ -421,8 +569,7 @@ def _forward_block(state: StreamState, x: np.ndarray, out: np.ndarray) -> None:
     c, k = state.config.residual_channels, state.config.kernel_size
     span, w = state.span, state.config.context_window
     z = _rows(state.block_z, c, n)
-    np.matmul(state.input_w, (x - state.offset[:, None]) * state.scale[:, None], out=z)
-    z += state.input_b[:, None]
+    _project_input(state, x, z)
 
     written = min(n, span)  # the tape keeps the last `span` inputs
     state._make_room(written)
@@ -432,18 +579,11 @@ def _forward_block(state: StreamState, x: np.ndarray, out: np.ndarray) -> None:
     pre = _rows(state.block_pre, state.dilated.shape[1], n)
     gates = _rows(state.block_gates, state.tail.shape[1], n)
     gates[c :: c + 1] = 1.0
-    for i, dilated in enumerate(state.dilated):
+    for i in range(state.config.num_blocks):
         context = tape[cursor - (k - 1) * 2**i : cursor, i].T
-        stack_taps(z, k, 2**i, stacked[:-1], context)
         tape[cursor : cursor + written, i] = z[:, n - written :].T
-        np.matmul(dilated, stacked, out=pre)
         g1 = gates[i * (c + 1) : (i + 1) * (c + 1)]
-        if state.gated:
-            np.tanh(pre, out=pre)
-            pre[c:] += 1.0
-            np.multiply(pre[:c], pre[c:], out=g1[:c])
-        else:
-            np.maximum(pre, 0.0, out=g1[:c])
+        _block_gates(state, i, z, stacked, pre, g1, context)
         if i < len(state.residual):
             z += state.residual[i] @ g1
     state.cursor = cursor + written
@@ -452,9 +592,7 @@ def _forward_block(state: StreamState, x: np.ndarray, out: np.ndarray) -> None:
     sums = state.block_sums[: n + w]
     sums[:w] = state.future[state.pos : state.pos + w]
     sums[w:] = 0.0
-    contributions = state.tail @ gates
-    for m in range(w - 1, -1, -1):  # oldest contribution first, as the step adds them
-        sums[m : m + n] += contributions[m]
+    _shifted_sum(state.tail @ gates, sums)
     np.add(sums[:n], state.const, out=out)
     state.future[:w] = sums[n:]
     state.future[w:] = 0.0

@@ -1,24 +1,26 @@
 """Rank-2 tensor engine with reverse-mode automatic differentiation.
 
-Shapes are [channels x time]; scalars are (1, 1). The op set is exactly
-what a dilated-causal-convolution regressor needs: causal conv, the conv
-and its gated or relu activation as one op (conv_activation), a residual
-conv and its add as one op (residual_add), the folded skip -> context ->
-head readout, elementwise arithmetic, full reductions, and an Adam step.
-The standalone activations are the unfused chain the fused ops equal.
-Everything is float64 numpy with a fixed reduction order, so a given input
-always produces bit-identical results. The causal conv runs on one stack
-of its input's delayed copies in the weights' own order (stack_taps),
-shared with the model's block path; it equals the per-tap loop within
+Shapes are [channels x time]; scalars are (1, 1). An op computes its output
+and hands it to record() with its inputs and a backward function, which
+passes gradients on with accumulate(); the network is one such op, defined
+in model.py. The ops here are what the loss and the tests' reference chain
+need: a causal dilated conv, the gated activation, elementwise arithmetic,
+full reductions, the lag fold of a context conv and a head, and an Adam
+step. Everything is float64 numpy with a fixed reduction order, so a given
+input always produces bit-identical results. The causal conv runs on one
+stack of its input's delayed copies in the weights' own order
+(stack_taps), shared with the model; it equals the per-tap loop within
 1e-12 relative.
 
 An op run while gradients are enabled records its inputs, its backward
 function and a creation number on its output. The backward function keeps
-only the arrays it reads, so a fused op's intermediates are freed when its
-forward returns. backward(loss) runs the ops reachable from the loss newest
-first, accumulating gradients into every tensor and kernel that requires
-them, and frees each op once it has run, so a graph is backpropagated once. Recording is a per-context setting:
-no_grad() in one thread never stops recording in another.
+only the arrays it reads. backward(loss) runs the ops reachable from the
+loss newest first, accumulating gradients into every tensor and kernel
+that requires them, and frees each op once it has run, so a graph is
+backpropagated once.
+
+Recording is a per-context setting: no_grad() in one thread never stops
+recording in another.
 """
 
 from __future__ import annotations
@@ -48,6 +50,11 @@ def no_grad():
         yield
     finally:
         _grad_enabled.reset(token)
+
+
+def grad_enabled() -> bool:
+    """Whether ops run in this context are recorded."""
+    return _grad_enabled.get()
 
 
 # Creation numbers of recorded ops: every op is numbered after its inputs.
@@ -140,25 +147,32 @@ class ConvKernel:
         return ConvKernel(self.weights, self.bias, self.dilation)
 
 
-def _kernel_grads(kernel: ConvKernel) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel's gradient arrays, zero-filled on first use."""
-    if kernel.grad_weights is None:
-        kernel.grad_weights = np.zeros_like(kernel.weights)
-        kernel.grad_bias = np.zeros_like(kernel.bias)
-    return kernel.grad_weights, kernel.grad_bias
-
-
-def _accumulate(tensor: Tensor, grad: np.ndarray, owned: bool = False) -> None:
-    """Add grad into tensor.grad. An array the op made for this input alone
-    (`owned`) is adopted when there is none yet; add() shares one array."""
+def accumulate(tensor: Tensor, grad: np.ndarray, owned: bool = False) -> None:
+    """Add grad into tensor.grad. When there is none yet, an array the op
+    made for this input alone (`owned`) is adopted; any other, such as the
+    output gradient that sub() passes on, is copied."""
     if tensor.grad is None:
         tensor.grad = grad if owned else grad.copy()
     else:
         tensor.grad += grad
 
 
-def _result(data, inputs: tuple[Tensor, ...], backward, requires: bool = False) -> Tensor:
-    """The op's output, recorded with `backward(out)` when it needs a gradient."""
+def accumulate_kernel(kernel: ConvKernel, grad_weights: np.ndarray, grad_bias: np.ndarray) -> None:
+    """Add an op's gradients, arrays it made, into the kernel's, adopting
+    them when there are none yet. Each element takes one add per op, so
+    ops accumulated into one kernel one after another give the same bits as
+    summing their gradients."""
+    if kernel.grad_weights is None:
+        kernel.grad_weights, kernel.grad_bias = grad_weights, grad_bias
+    else:
+        kernel.grad_weights += grad_weights
+        kernel.grad_bias += grad_bias
+
+
+def record(data, inputs: tuple[Tensor, ...], backward, requires: bool = False) -> Tensor:
+    """The op's output, recorded with `backward(out)` when it needs a
+    gradient: when `requires` is set (the op has parameters) or an input
+    needs one."""
     if not _grad_enabled.get():
         return Tensor(data)
     requires = requires or any(t.requires_grad for t in inputs)
@@ -175,28 +189,16 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
         raise ShapeError(f"{op}: shape mismatch {a.data.shape} vs {b.data.shape}")
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "add")
-
-    def backward(out):
-        if a.requires_grad:
-            _accumulate(a, out.grad)
-        if b.requires_grad:
-            _accumulate(b, out.grad)
-
-    return _result(a.data + b.data, (a, b), backward)
-
-
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "sub")
 
     def backward(out):
         if a.requires_grad:
-            _accumulate(a, out.grad)
+            accumulate(a, out.grad)
         if b.requires_grad:
-            _accumulate(b, -out.grad, owned=True)
+            accumulate(b, -out.grad, owned=True)
 
-    return _result(a.data - b.data, (a, b), backward)
+    return record(a.data - b.data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -204,19 +206,19 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(out):
         if a.requires_grad:
-            _accumulate(a, out.grad * b.data, owned=True)
+            accumulate(a, out.grad * b.data, owned=True)
         if b.requires_grad:
-            _accumulate(b, out.grad * a.data, owned=True)
+            accumulate(b, out.grad * a.data, owned=True)
 
-    return _result(a.data * b.data, (a, b), backward)
+    return record(a.data * b.data, (a, b), backward)
 
 
 def sum_all(x: Tensor) -> Tensor:
     def backward(out):
         if x.requires_grad:
-            _accumulate(x, np.full_like(x.data, float(out.grad[0, 0])), owned=True)
+            accumulate(x, np.full_like(x.data, float(out.grad[0, 0])), owned=True)
 
-    return _result(np.sum(x.data).reshape(1, 1), (x,), backward)
+    return record(np.sum(x.data).reshape(1, 1), (x,), backward)
 
 
 def mean_all(x: Tensor) -> Tensor:
@@ -224,9 +226,9 @@ def mean_all(x: Tensor) -> Tensor:
 
     def backward(out):
         if x.requires_grad:
-            _accumulate(x, np.full_like(x.data, float(out.grad[0, 0]) * inv), owned=True)
+            accumulate(x, np.full_like(x.data, float(out.grad[0, 0]) * inv), owned=True)
 
-    return _result(np.mean(x.data).reshape(1, 1), (x,), backward)
+    return record(np.mean(x.data).reshape(1, 1), (x,), backward)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -245,69 +247,27 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gated(pre: np.ndarray):
-    """tanh(top half) * sigmoid(bottom half) of pre along the channel axis,
-    and the map from the output's gradient to pre's. The map keeps the two
-    halves' activations and the output, not pre."""
-    shape = pre.shape
+def gated_activation(x: Tensor) -> Tensor:
+    """tanh(top half) * sigmoid(bottom half) along the channel axis. Its
+    backward keeps the two halves' activations and the output, not x."""
+    shape = x.data.shape
     if shape[0] % 2 != 0:
         raise ShapeError(f"gated activation needs an even channel count, got {shape[0]}")
     half = shape[0] // 2
-    th = np.tanh(pre[:half])
-    sg = _sigmoid(pre[half:])
-    out = th * sg
+    th = np.tanh(x.data[:half])
+    sg = _sigmoid(x.data[half:])
+    out_data = th * sg
 
-    def grad_of(g):  # [sg * (1 - th^2); out * (1 - sg)] * g, in place
-        grad = np.empty(shape)
-        top, bottom, halves = grad[:half], grad[half:], grad.reshape(2, half, -1)
-        np.multiply(np.subtract(1.0, np.square(th, out=top), out=top), sg, out=top)
-        np.multiply(np.subtract(1.0, sg, out=bottom), out, out=bottom)
-        np.multiply(halves, g, out=halves)
-        return grad
-
-    return out, grad_of
-
-
-def _relu(pre: np.ndarray):
-    """max(pre, 0) and the map from the output's gradient to pre's."""
-    mask = pre > 0.0
-    return np.where(mask, pre, 0.0), lambda g: g * mask
-
-
-_ACTIVATIONS = {"gated": _gated, "relu": _relu}
-
-
-def _activation_op(x: Tensor, activate) -> Tensor:
-    out_data, grad_of = activate(x.data)
-
-    def backward(out):
+    def backward(out):  # [sg * (1 - th^2); out * (1 - sg)] * out.grad, in place
         if x.requires_grad:
-            _accumulate(x, grad_of(out.grad), owned=True)
+            grad = np.empty(shape)
+            top, bottom, halves = grad[:half], grad[half:], grad.reshape(2, half, -1)
+            np.multiply(np.subtract(1.0, np.square(th, out=top), out=top), sg, out=top)
+            np.multiply(np.subtract(1.0, sg, out=bottom), out_data, out=bottom)
+            np.multiply(halves, out.grad, out=halves)
+            accumulate(x, grad, owned=True)
 
-    return _result(out_data, (x,), backward)
-
-
-def relu(x: Tensor) -> Tensor:
-    return _activation_op(x, _relu)
-
-
-def gated_activation(x: Tensor) -> Tensor:
-    """tanh(top half) * sigmoid(bottom half) along the channel axis."""
-    return _activation_op(x, _gated)
-
-
-def scale_channels(x: Tensor, offset: np.ndarray, scale: np.ndarray) -> Tensor:
-    """Per-channel affine (x - offset) * scale with constant parameters."""
-    offset = np.asarray(offset, dtype=np.float64).reshape(-1, 1)
-    scale = np.asarray(scale, dtype=np.float64).reshape(-1, 1)
-    if offset.shape[0] != x.data.shape[0] or scale.shape[0] != x.data.shape[0]:
-        raise ShapeError("offset/scale length must match the channel count")
-
-    def backward(out):
-        if x.requires_grad:
-            _accumulate(x, out.grad * scale, owned=True)
-
-    return _result((x.data - offset) * scale, (x,), backward)
+    return record(out_data, (x,), backward)
 
 
 def stack_taps(x: np.ndarray, k: int, dilation: int, out: np.ndarray, context=None) -> np.ndarray:
@@ -324,17 +284,6 @@ def stack_taps(x: np.ndarray, k: int, dilation: int, out: np.ndarray, context=No
     return out
 
 
-def _conv_data(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
-    """bias + one product of the weights with x's stacked taps, not kept."""
-    if kernel.in_channels != x.shape[0]:
-        raise ShapeError(f"kernel expects {kernel.in_channels} input channels, got {x.shape[0]}")
-    k, (c_in, t_len) = kernel.size, x.shape
-    taps = x if k == 1 else stack_taps(x, k, kernel.dilation, np.empty((c_in * k, t_len)))
-    out = kernel.weights.reshape(kernel.weights.shape[0], -1) @ taps
-    out += kernel.bias[:, None]
-    return out
-
-
 def _conv_backward(x: Tensor, kernel: ConvKernel, g: np.ndarray) -> None:
     """Accumulate the conv's gradients for the output gradient g: the weights'
     tap by tap from x, and x's from one product whose delayed taps are added
@@ -343,16 +292,16 @@ def _conv_backward(x: Tensor, kernel: ConvKernel, g: np.ndarray) -> None:
     c_out, c_in = kernel.weights.shape[:2]
     t_len = g.shape[1]
     lags = [(j, (k - 1 - j) * d) for j in range(k) if (k - 1 - j) * d < t_len]
-    grad_weights, grad_bias = _kernel_grads(kernel)
+    grad_weights = np.zeros_like(kernel.weights)
     for j, lag in lags:
-        grad_weights[:, :, j] += g[:, lag:] @ x.data[:, : t_len - lag].T
-    grad_bias += g.sum(axis=1)
+        grad_weights[:, :, j] = g[:, lag:] @ x.data[:, : t_len - lag].T
+    accumulate_kernel(kernel, grad_weights, g.sum(axis=1))
     if x.requires_grad:
         grad_taps = kernel.weights.T.reshape(k * c_in, c_out) @ g  # tap-major
         grad_x = grad_taps[(k - 1) * c_in :]
         for j, lag in lags[:-1]:
             grad_x[:, : t_len - lag] += grad_taps[j * c_in : (j + 1) * c_in, lag:]
-        _accumulate(x, grad_x, owned=True)
+        accumulate(x, grad_x, owned=True)
 
 
 def conv1d_causal(x: Tensor, kernel: ConvKernel) -> Tensor:
@@ -363,115 +312,20 @@ def conv1d_causal(x: Tensor, kernel: ConvKernel) -> Tensor:
     Forward is one product over the stacked taps, not kept for backward.
     Outputs and gradients equal the per-tap loop within 1e-12 of max-abs.
     """
-    out_data = _conv_data(x.data, kernel)
-    return _result(out_data, (x,), lambda out: _conv_backward(x, kernel, out.grad), requires=True)
-
-
-def conv_activation(x: Tensor, kernel: ConvKernel, activation: str) -> Tensor:
-    """The activation ("gated" or "relu") of conv1d_causal(x, kernel) as one
-    op. The pre-activation is dropped when the forward returns: backward
-    maps the output's gradient to it from what the activation keeps, then
-    runs the conv's backward."""
-    out_data, grad_of = _ACTIVATIONS[activation](_conv_data(x.data, kernel))
-    return _result(
-        out_data, (x,), lambda out: _conv_backward(x, kernel, grad_of(out.grad)), requires=True
-    )
-
-
-def residual_add(z: Tensor, g: Tensor, kernel: ConvKernel) -> Tensor:
-    """add(z, conv1d_causal(g, kernel)) as one op, written into one array."""
-    out_data = _conv_data(g.data, kernel)
-    if out_data.shape != z.data.shape:
-        raise ShapeError(f"residual_add: shape mismatch {z.data.shape} vs {out_data.shape}")
-    out_data += z.data
-
-    def backward(out):
-        if z.requires_grad:
-            _accumulate(z, out.grad)
-        _conv_backward(g, kernel, out.grad)
-
-    return _result(out_data, (z, g), backward, requires=True)
+    data, k = x.data, kernel.size
+    if kernel.in_channels != data.shape[0]:
+        raise ShapeError(f"kernel expects {kernel.in_channels} input channels, got {data.shape[0]}")
+    if k > 1:
+        data = stack_taps(data, k, kernel.dilation, np.empty((data.shape[0] * k, data.shape[1])))
+    out_data = kernel.weights.reshape(kernel.weights.shape[0], -1) @ data
+    out_data += kernel.bias[:, None]
+    return record(out_data, (x,), lambda out: _conv_backward(x, kernel, out.grad), requires=True)
 
 
 def lag_fold(context: ConvKernel, head: ConvKernel) -> np.ndarray:
     """[w x O x S]: A[m] = head . (context tap w-1-m), the linear map from
     the skip sum at t - m to the output at t, for a 1x1 head."""
     return np.einsum("os,sit->toi", head.weights[:, :, 0], context.weights)[::-1]
-
-
-def readout(gates, skips, context: ConvKernel, head: ConvKernel) -> Tensor:
-    """head(context(sum_i skip_i(gates[i]))) as one op: 1x1 skips, a causal
-    context conv with dilation 1 and a 1x1 head.
-
-    All of it is linear, so block i's skip folds into one [w*O x C] tail,
-    tail_i = A @ W_i with A the lag fold stacked [w*O x S]. Row block m of
-    P = sum_i tail_i @ g_i + A @ sum_i b_i holds each column's contribution
-    to the output m steps later: y[:, t] = const + sum_m P_m[:, t - m] over
-    t - m >= 0, which is the context conv's zero left padding of the skip
-    sum, biases included. const = head . context bias + head bias.
-    """
-    n_blocks, s_ch = len(gates), context.weights.shape[0]
-    if n_blocks == 0 or n_blocks != len(skips):
-        raise ShapeError(f"readout needs one skip kernel per gate, got {n_blocks} and {len(skips)}")
-    t_len = gates[0].data.shape[1]
-    for g, kern in zip(gates, skips):
-        if kern.weights.shape != (s_ch, g.data.shape[0], 1) or g.data.shape[1] != t_len:
-            raise ShapeError(
-                f"skip kernel {kern.weights.shape} does not map gates {g.data.shape} "
-                f"to {s_ch} channels over {t_len} samples"
-            )
-    if context.weights.shape[1] != s_ch or context.dilation != 1:
-        raise ShapeError(f"context kernel {context.weights.shape} must be [S x S x w], dilation 1")
-    if head.weights.shape[1:] != (s_ch, 1):
-        raise ShapeError(f"head kernel {head.weights.shape} must be [O x {s_ch} x 1]")
-    w, n_out = context.size, head.weights.shape[0]
-    head_w = head.weights[:, :, 0]
-    fold = lag_fold(context, head).reshape(w * n_out, s_ch)
-    tails = [fold @ kern.weights[:, :, 0] for kern in skips]
-    bias_sum = np.sum([kern.bias for kern in skips], axis=0)
-
-    parts = tails[0] @ gates[0].data
-    for tail, g in zip(tails[1:], gates[1:]):
-        parts += tail @ g.data
-    parts += (fold @ bias_sum)[:, None]
-    parts = parts.reshape(w, n_out, t_len)
-    out_data = np.empty((n_out, t_len))
-    out_data[:] = (head_w @ context.bias + head.bias)[:, None]
-    for m in range(min(w, t_len)):
-        out_data[:, m:] += parts[m, :, : t_len - m]
-
-    def backward(out):
-        # P's gradient is `lags`, the w shifted copies of gy; the tails' and
-        # gates' gradients are its products with g_i and tail_i, and the
-        # skip, context and head gradients follow from the tails' by the
-        # chain rule through tail_i = A @ W_i and the lag fold.
-        gy = out.grad
-        lags = np.zeros((w, n_out, t_len))  # lags[m, :, t - m] = gy[:, t]
-        for m in range(min(w, t_len)):
-            lags[m, :, : t_len - m] = gy[:, m:]
-        lags = lags.reshape(w * n_out, t_len)
-        lag_sum = lags.sum(axis=1)
-        bias_grad = fold.T @ lag_sum
-        d_fold = np.outer(lag_sum, bias_sum)
-        for g, kern, tail in zip(gates, skips, tails):
-            d_tail = lags @ g.data.T
-            grad_weights, grad_bias = _kernel_grads(kern)
-            grad_weights[:, :, 0] += fold.T @ d_tail
-            grad_bias += bias_grad
-            d_fold += d_tail @ kern.weights[:, :, 0].T
-            if g.requires_grad:
-                _accumulate(g, tail.T @ lags, owned=True)
-        d_taps = d_fold.reshape(w, n_out, s_ch)[::-1]  # indexed by context tap
-        gy_sum = gy.sum(axis=1)
-        grad_weights, grad_bias = _kernel_grads(context)
-        grad_weights += np.einsum("os,toi->sit", head_w, d_taps)
-        grad_bias += head_w.T @ gy_sum
-        grad_weights, grad_bias = _kernel_grads(head)
-        grad_weights[:, :, 0] += np.einsum("toi,sit->os", d_taps, context.weights)
-        grad_weights[:, :, 0] += np.outer(gy_sum, context.bias)
-        grad_bias += gy_sum
-
-    return _result(out_data, tuple(gates), backward, requires=True)
 
 
 def backward(loss: Tensor) -> None:

@@ -6,9 +6,9 @@ batch run forward and backward on a thread pool, each on its own gradient
 view of the weights; their gradients are summed in window order as they
 arrive, which gives the same bits as accumulating them one window after
 another. Validation scores each held-out segment as eval does, through the
-stream plan's block path on the pool, with the losses reduced in fixed
-order; the weights from the best validation epoch are restored before
-returning.
+stream plan's block path, which runs forward's per-block code, on the
+pool, with the losses reduced in fixed order; the weights from the best
+validation epoch are restored before returning.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import filecmp
 import json
 import os
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -380,6 +381,13 @@ class TestTrainEvalBench:
         assert len(preds) == 14
         first = preds[0].read_text().splitlines()
         assert first[0] == "t,true,predicted"
+
+    def test_overlay_svg_escapes_its_title(self, tmp_path):
+        path = tmp_path / "plot.svg"
+        cli._write_overlay_svg(path, np.linspace(0.0, 1.0, 5), np.zeros(5), "A&B<x>")
+        root = ElementTree.parse(path).getroot()
+        texts = [el.text for el in root if el.tag.endswith("text")]
+        assert texts[0] == "A&B<x>"
 
     def test_eval_streams_each_segment_once(self, data_dir, run_dir, tmp_path, monkeypatch):
         calls = {"forward": 0, "forward_streaming": 0}

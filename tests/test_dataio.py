@@ -116,6 +116,16 @@ class TestLoadRecording:
             dataio.load_recording(path, fs=1000.0)
         assert dataio.load_recording(path, fs=2000.0).fs == 2000.0
 
+    @pytest.mark.parametrize("key, value", [("subject", "../escaped"), ("motion", "up\\down")])
+    def test_sidecar_path_separator_rejected(self, tmp_path, key, value):
+        """Subject and motion become segment ids, which name eval's output
+        files; a separator would write them outside their directory."""
+        path = tmp_path / "rec.csv"
+        write_csv(path, ["emg", "ax", "ay", "az", "gx", "gy", "gz"], seven_column_rows(5))
+        (tmp_path / "rec.meta.json").write_text(json.dumps({key: value}) + "\n")
+        with pytest.raises(SchemaError, match=f"rec\\.meta\\.json: {key} .* must not contain"):
+            dataio.load_recording(path)
+
     def test_fs_defaults_without_caller_or_sidecar(self, tmp_path):
         path = tmp_path / "rec.csv"
         write_csv(path, ["emg", "ax", "ay", "az", "gx", "gy", "gz"], seven_column_rows(5))

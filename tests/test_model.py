@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from emgforge import model as M
 from emgforge.errors import CheckpointError, ConfigError, ShapeError, StreamStateError
 from emgforge.tensor import Tensor, backward, conv1d_causal, gated_activation, mul, no_grad, sum_all
+from reference_chain import add, normalize
 
 TINY = M.ModelConfig(
     kernel_size=2, num_blocks=2, residual_channels=3, skip_channels=3, context_window=2
@@ -120,11 +121,7 @@ class TestForward:
             y = M.forward(w, Tensor(x)).data
 
             # replicate the residual trunk up to block j independently
-            from emgforge.tensor import add, scale_channels
-
-            z = conv1d_causal(
-                scale_channels(Tensor(x), w.input_offset, w.input_scale), w.input_proj
-            )
+            z = conv1d_causal(normalize(Tensor(x), w.input_offset, w.input_scale), w.input_proj)
             skip = None
             for i, blk in enumerate(w.blocks):
                 g = gated_activation(conv1d_causal(z, blk.dilated))
@@ -172,7 +169,10 @@ class TestForward:
     def test_forward_deterministic(self):
         w = M.init_weights(TINY, seed=12)
         x = rand_input(50, seed=13)
-        assert np.array_equal(M.forward(w, x).data, M.forward(w, x).data)
+        recorded = M.forward(w, x).data
+        assert np.array_equal(M.forward(w, x).data, recorded)
+        with no_grad():  # keeps no arrays for a backward, computes the same bits
+            assert np.array_equal(M.forward(w, x).data, recorded)
 
     @pytest.mark.parametrize("activation", ["gated", "relu"])
     def test_last_residual_kernel_unused(self, activation):
@@ -703,6 +703,43 @@ def test_causality_property_random_configs(k, n_blocks, c_res, c_skip, window, s
         y = M.forward(w, x).data
         y_mod = M.forward(w, x_mod).data
     assert np.array_equal(y[:, :cut], y_mod[:, :cut])
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    k=st.integers(2, 4),
+    n_blocks=st.integers(1, 4),
+    activation=st.sampled_from(M.ACTIVATIONS),
+    out_channels=st.integers(1, 2),
+    seed=st.integers(0, 1000),
+)
+def test_recorded_forward_causality(k, n_blocks, activation, out_channels, seed):
+    """With gradients recorded, an edit of the future leaves past outputs
+    bit-exact, and past outputs send no gradient to the future."""
+    cfg = M.ModelConfig(
+        kernel_size=k,
+        num_blocks=n_blocks,
+        residual_channels=3,
+        skip_channels=2,
+        context_window=4,
+        out_channels=out_channels,
+        activation=activation,
+    )
+    w = _random_weights(cfg, seed)
+    rng = np.random.default_rng(seed + 2)
+    t_len = 48
+    cut = int(rng.integers(1, t_len))
+    x = rng.standard_normal((6, t_len))
+    x_mod = x.copy()
+    x_mod[:, cut:] = rng.standard_normal((6, t_len - cut)) * 50.0
+    xt = Tensor(x, requires_grad=True)
+    y = M.forward(w, xt)
+    assert y.requires_grad
+    assert np.array_equal(y.data[:, :cut], M.forward(w, Tensor(x_mod)).data[:, :cut])
+    past = np.zeros((out_channels, t_len))
+    past[:, :cut] = rng.standard_normal((out_channels, cut))
+    backward(sum_all(mul(y, Tensor(past))))
+    assert np.all(xt.grad[:, cut:] == 0.0)
 
 
 def _edit_header(blob: bytes, edit) -> bytes:

@@ -18,32 +18,71 @@ def _trees(directory: Path):
             yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
 
 
-def _referenced_names() -> set:
-    """Every name, attribute, imported name and string constant in the package
-    and the benchmark harness; strings count because the harness wraps
-    functions it names by string."""
-    names = set()
-    for directory in (PACKAGE, ROOT / "perfbench"):
-        for _, tree in _trees(directory):
+def _module_of(node: ast.ImportFrom, package: bool):
+    """The emgforge module an import reads from: its name, "" for the
+    package itself, or None for any other import."""
+    if package and node.level == 1:
+        return node.module or ""
+    if node.level == 0 and node.module and node.module.split(".")[0] == "emgforge":
+        return node.module.partition(".")[2]
+    return None
+
+
+def _layers(tree) -> list:
+    """The (module, name) pairs of run.py's LAYERS table."""
+    (layers,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets)
+    ]
+    return [tuple(value) for value in ast.literal_eval(layers).values()]
+
+
+def _references() -> set:
+    """Every "module.name" the package and the benchmark harness reference:
+    a bare name in its own package module, an attribute of a name bound to
+    an emgforge module, a name imported from one, and run.py's LAYERS pairs,
+    which the harness wraps by name. A name that only collides with one of
+    these (set.add, np.add, a string) does not count."""
+    refs = set()
+    for directory, package in ((PACKAGE, True), (ROOT / "perfbench", False)):
+        for module, tree in _trees(directory):
+            modules = {}  # local name -> emgforge module it is bound to
             for node in ast.walk(tree):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    names.add(node.name)
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    names.add(node.value)
-    return names
+                source = _module_of(node, package) if isinstance(node, ast.ImportFrom) else None
+                if source is not None:
+                    for alias in node.names:
+                        if source:
+                            refs.add(f"{source}.{alias.name}")
+                        else:
+                            modules[alias.asname or alias.name] = alias.name
+                elif isinstance(node, ast.Import):
+                    for alias in node.names:
+                        if alias.name.startswith("emgforge.") and alias.asname:
+                            modules[alias.asname] = alias.name.partition(".")[2]
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and package:
+                    refs.add(f"{module}.{node.id}")
+                elif (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in modules
+                ):
+                    refs.add(f"{modules[node.value.id]}.{node.attr}")
+            if module == "run" and not package:
+                refs.update(f"{mod}.{name}" for mod, name in _layers(tree))
+    return refs
 
 
 def test_every_top_level_definition_is_used_outside_tests():
-    referenced = _referenced_names()
+    refs = _references()
     unused = {
         f"{module}.{node.name}"
         for module, tree in _trees(PACKAGE)
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in referenced
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and f"{module}.{node.name}" not in refs
     }
     assert unused == TEST_ONLY
 
@@ -52,14 +91,7 @@ def test_benchmark_layers_resolve():
     """perfbench/run.py looks up every LAYERS entry at start-up, so a name
     missing from its module fails every benchmark run. run.py is parsed, not
     imported: importing it sets the BLAS thread variables."""
-    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text(encoding="utf-8"))
-    (layers,) = [
-        node.value
-        for node in tree.body
-        if isinstance(node, ast.Assign)
-        and any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets)
-    ]
-    pairs = [tuple(value) for value in ast.literal_eval(layers).values()]
+    pairs = _layers(ast.parse((ROOT / "perfbench" / "run.py").read_text(encoding="utf-8")))
     assert pairs
     missing = [
         f"{module}.{name}"

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import emgforge.model as M
 import emgforge.tensor as T
 from emgforge.errors import DivergenceError, ShapeError
 from emgforge.tensor import (
     AdamState,
     ConvKernel,
     Tensor,
-    add,
     adam_step,
     backward,
     conv1d_causal,
@@ -23,11 +23,10 @@ from emgforge.tensor import (
     mean_all,
     mul,
     no_grad,
-    relu,
-    scale_channels,
     sub,
     sum_all,
 )
+from reference_chain import add, relu, unfused_forward
 
 
 class TestConv:
@@ -263,157 +262,123 @@ class TestGradientAdoption:
         assert np.array_equal(s.grad, g1)
 
 
-def unfused_readout(gates, skips, context, head):
-    """The skip 1x1s, their sum, the context conv and the head as separate
-    ops: the reference that readout folds."""
-    total = None
-    for g, kern in zip(gates, skips):
-        s = conv1d_causal(g, kern)
-        total = s if total is None else add(total, s)
-    return conv1d_causal(conv1d_causal(total, context), head)
+def network(seed, activation="gated", k=3, n_out=1, blocks=3, c=4, s=3, window=5):
+    """A small model with a random input normalizer and biases, so no term vanishes."""
+    cfg = M.ModelConfig(
+        kernel_size=k,
+        num_blocks=blocks,
+        residual_channels=c,
+        skip_channels=s,
+        context_window=window,
+        out_channels=n_out,
+        activation=activation,
+    )
+    w = M.init_weights(cfg, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    w.input_offset[:] = rng.standard_normal(6)
+    w.input_scale[:] = rng.uniform(0.5, 2.0, 6)
+    for _, kern in w.named_kernels():
+        kern.bias[:] = rng.standard_normal(kern.bias.shape) * 0.1
+    return w
 
 
-def readout_case(seed, activation, n_out, t_len, blocks=3, c=4, s=3, window=5):
-    """Pre-activations, skip/context/head kernels and a target, all random."""
-    rng = np.random.default_rng(seed)
-    pre_ch = 2 * c if activation == "gated" else c
-    pre = [rng.standard_normal((pre_ch, t_len)) for _ in range(blocks)]
-    skips = [ConvKernel(rng.standard_normal((s, c, 1)), rng.standard_normal(s)) for _ in pre]
-    context = ConvKernel(rng.standard_normal((s, s, window)), rng.standard_normal(s))
-    head = ConvKernel(rng.standard_normal((n_out, s, 1)), rng.standard_normal(n_out))
-    return pre, skips, context, head, rng.standard_normal((n_out, t_len))
-
-
-def readout_grads(op, activation, pre, skips, context, head, target):
-    """op's output and the gradients of sum(output * target) on fresh kernels."""
-    kernels = [k.copy() for k in (*skips, context, head)]
-    inputs = [Tensor(p, requires_grad=True) for p in pre]
-    activate = gated_activation if activation == "gated" else relu
-    y = op([activate(x) for x in inputs], kernels[:-2], *kernels[-2:])
-    backward(sum_all(mul(y, Tensor(target))))
-    grads = [g for k in kernels for g in (k.grad_weights, k.grad_bias)]
-    return y.data, grads + [x.grad for x in inputs]
-
-
-def block_case(seed, activation, k, t_len, c=3):
-    """An input, a dilated kernel, a k-tap residual kernel and a target, all random."""
-    rng = np.random.default_rng(seed)
-    pre_ch = 2 * c if activation == "gated" else c
-    dilated = ConvKernel(rng.standard_normal((pre_ch, c, k)), rng.standard_normal(pre_ch), 2)
-    residual = ConvKernel(rng.standard_normal((c, c, k)), rng.standard_normal(c))
-    return rng.standard_normal((c, t_len)), dilated, residual, rng.standard_normal((c, t_len))
-
-
-def unfused_block(x, dilated, residual, activation):
-    """The conv, its activation, the residual conv and the add as separate
-    ops: the reference that conv_activation and residual_add fuse."""
-    activate = gated_activation if activation == "gated" else relu
-    g = activate(conv1d_causal(x, dilated))
-    return g, add(x, conv1d_causal(g, residual))
-
-
-def fused_block(x, dilated, residual, activation):
-    g = T.conv_activation(x, dilated, activation)
-    return g, T.residual_add(x, g, residual)
-
-
-def block_grads(op, x, dilated, residual, target, activation):
-    """op's gate and output, and every gradient of sum(output * target)."""
-    kernels = [dilated.copy(), residual.copy()]
+def network_grads(run, weights, x, target):
+    """run(weights, x)'s output, then every gradient of sum(output * target):
+    each kernel's in checkpoint order, then x's. Runs on a copy of the weights."""
+    w = weights.copy()
     xt = Tensor(x, requires_grad=True)
-    g, y = op(xt, *kernels, activation)
+    y = run(w, xt)
     backward(sum_all(mul(y, Tensor(target))))
-    grads = [a for kern in kernels for a in (kern.grad_weights, kern.grad_bias)]
-    return [g.data, y.data, xt.grad, g.grad, *grads]
+    return [y.data, *w.gradient_arrays().values(), xt.grad]
+
+
+def assert_matches_chain(weights, t_len, seed):
+    """model.forward's output and gradients equal the op chain's within
+    1e-12 of each array's max-abs."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((6, t_len))
+    target = rng.standard_normal((weights.config.out_channels, t_len))
+    got = network_grads(M.forward, weights, x, target)
+    want = network_grads(unfused_forward, weights, x, target)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert max_rel_error(a, b) <= 1e-12
+
+
+def assert_gradients_match_finite_differences(weights, arrays, x, target):
+    """Central differences of the MSE against forward's backward, for every
+    entry of `arrays` (weights' parameter names, or "x")."""
+
+    def loss_value(xt):
+        diff = sub(M.forward(weights, xt), Tensor(target))
+        return mean_all(mul(diff, diff))
+
+    weights.zero_grads()
+    xt = Tensor(x, requires_grad=True)
+    backward(loss_value(xt))
+    params, grads = weights.parameter_arrays(), weights.gradient_arrays()
+    checked = [(x, xt.grad) if name == "x" else (params[name], grads[name]) for name in arrays]
+    h = 1e-5  # the relu model's loss is near 20; at 1e-6 rounding reaches the tolerance
+    for array, grad in checked:
+        flat = array.ravel()
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            up = loss_value(Tensor(x)).data[0, 0]
+            flat[i] = orig - h
+            dn = loss_value(Tensor(x)).data[0, 0]
+            flat[i] = orig
+            fd = (up - dn) / (2 * h)
+            ad = grad.ravel()[i]
+            assert abs(ad - fd) <= 1e-6 * max(abs(ad), abs(fd), 1e-3)
 
 
 class TestFusedBlockOps:
+    """The dilated convs, their activations and the residual adds now run
+    inside model.forward's one recorded op; it must equal the op chain."""
+
     @pytest.mark.parametrize("activation", ["gated", "relu"])
     @pytest.mark.parametrize("k", [2, 3, 4])
-    @pytest.mark.parametrize("t_len", [1, 3, 257])
+    @pytest.mark.parametrize("t_len", [1, 3, 257, 1024])
     def test_matches_unfused_chain(self, activation, k, t_len):
-        x, dilated, residual, target = block_case(k + t_len, activation, k, t_len)
-        got = block_grads(fused_block, x, dilated, residual, target, activation)
-        want = block_grads(unfused_block, x, dilated, residual, target, activation)
-        for a, b in zip(got, want):
-            assert a.shape == b.shape
-            assert max_rel_error(a, b) <= 1e-12
+        for n_out in (1, 2):
+            assert_matches_chain(network(k + t_len, activation, k, n_out), t_len, seed=t_len)
 
     @pytest.mark.parametrize("activation", ["gated", "relu"])
     def test_gradients_match_finite_differences(self, activation):
-        x, dilated, residual, target = block_case(8, activation, k=3, t_len=10, c=2)
-
-        def loss_value(xt):
-            diff = sub(fused_block(xt, dilated, residual, activation)[1], Tensor(target))
-            return mean_all(mul(diff, diff))
-
-        xt = Tensor(x, requires_grad=True)
-        backward(loss_value(xt))
-        checked = [(kern.weights, kern.grad_weights) for kern in (dilated, residual)]
-        checked += [(kern.bias, kern.grad_bias) for kern in (dilated, residual)]
-        checked.append((x, xt.grad))
-        h = 1e-6
-        for array, grad in checked:
-            flat = array.ravel()
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + h
-                up = loss_value(Tensor(x)).data[0, 0]
-                flat[i] = orig - h
-                dn = loss_value(Tensor(x)).data[0, 0]
-                flat[i] = orig
-                fd = (up - dn) / (2 * h)
-                ad = grad.ravel()[i]
-                assert abs(ad - fd) <= 1e-6 * max(abs(ad), abs(fd), 1e-3)
+        w = network(8, activation, k=3, blocks=2, c=2, s=2, window=3)
+        rng = np.random.default_rng(9)
+        x, target = rng.standard_normal((6, 10)), rng.standard_normal((1, 10))
+        assert_gradients_match_finite_differences(w, [*w.parameter_arrays(), "x"], x, target)
 
     def test_bad_shapes_rejected(self):
-        x, dilated, residual, _ = block_case(0, "gated", 2, 5)
+        w = network(0)
+        with pytest.raises(ShapeError):  # the model reads 6 channels
+            M.forward(w, Tensor(np.zeros((5, 8))))
+        odd = w.blocks[1].dilated
+        w.blocks[1].dilated = ConvKernel(odd.weights[:-1], odd.bias[:-1], odd.dilation)
         with pytest.raises(ShapeError):  # an odd channel count cannot gate
-            T.conv_activation(Tensor(x), residual, "gated")
-        with pytest.raises(ShapeError):  # the residual conv gives 3 channels, z has 2
-            T.residual_add(Tensor(x[:2]), Tensor(x), residual)
+            M.forward(w, Tensor(np.zeros((6, 8))))
 
 
 class TestReadout:
+    """The skips, context conv and head now run as forward's tail product."""
+
     @pytest.mark.parametrize("activation", ["gated", "relu"])
     @pytest.mark.parametrize("n_out", [1, 2])
     @pytest.mark.parametrize("t_len", [1, 3, 64])  # 1 and 3 are shorter than the window
     def test_matches_unfused_chain(self, activation, n_out, t_len):
-        case = readout_case(t_len + n_out, activation, n_out, t_len)
-        got, got_grads = readout_grads(T.readout, activation, *case)
-        want, want_grads = readout_grads(unfused_readout, activation, *case)
-        assert got.shape == (n_out, t_len)
-        for a, b in zip([got, *got_grads], [want, *want_grads]):
-            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+        w = network(t_len + n_out, activation, k=2, n_out=n_out, blocks=4, c=3, s=5, window=7)
+        assert_matches_chain(w, t_len, seed=t_len + 10 * n_out)
 
     def test_gradients_match_finite_differences(self):
-        pre, skips, context, head, target = readout_case(
-            7, "gated", n_out=2, t_len=12, blocks=2, c=2, s=3, window=4
-        )
-
-        def loss_value(inputs):
-            gates = [gated_activation(x) for x in inputs]
-            diff = sub(T.readout(gates, skips, context, head), Tensor(target))
-            return mean_all(mul(diff, diff))
-
-        inputs = [Tensor(p, requires_grad=True) for p in pre]
-        backward(loss_value(inputs))
-        checked = [(k.weights, k.grad_weights) for k in (*skips, context, head)]
-        checked += [(k.bias, k.grad_bias) for k in (*skips, context, head)]
-        checked += [(p, x.grad) for p, x in zip(pre, inputs)]
-        h = 1e-6
-        for array, grad in checked:
-            flat = array.ravel()
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + h
-                up = loss_value([Tensor(p) for p in pre]).data[0, 0]
-                flat[i] = orig - h
-                dn = loss_value([Tensor(p) for p in pre]).data[0, 0]
-                flat[i] = orig
-                fd = (up - dn) / (2 * h)
-                ad = grad.ravel()[i]
-                assert abs(ad - fd) <= 1e-6 * max(abs(ad), abs(fd), 1e-3)
+        w = network(7, n_out=2, blocks=2, c=2, s=3, window=4)
+        rng = np.random.default_rng(8)
+        x, target = rng.standard_normal((6, 12)), rng.standard_normal((2, 12))
+        tail = ("skip", "context", "output_proj")
+        names = [n for n in w.parameter_arrays() if n.split(".")[-2] in tail]
+        assert_gradients_match_finite_differences(w, names, x, target)
 
     @pytest.mark.parametrize(
         "change",
@@ -421,24 +386,28 @@ class TestReadout:
          "context_not_square", "head_k2"],
     )
     def test_bad_shapes_rejected(self, change):
-        pre, skips, context, head, _ = readout_case(0, "relu", 1, 10)
-        gates = [Tensor(p) for p in pre]
+        """A kernel whose shape or dilation does not fit the config is
+        rejected, not read as if it did."""
+        w = network(0, "relu")
+        s, c = w.config.skip_channels, w.config.residual_channels
         if change == "no_gates":
-            gates, skips = [], []
+            w.blocks = []
         elif change == "one_skip_missing":
-            skips = skips[:-1]
+            w.blocks[1].skip = ConvKernel(np.zeros((s - 1, c, 1)), np.zeros(s - 1))
         elif change == "skip_k2":
-            skips[0] = ConvKernel(np.zeros((3, 4, 2)), np.zeros(3))
-        elif change == "gates_unequal_length":
-            gates[1] = Tensor(pre[1][:, :9])
+            w.blocks[0].skip = ConvKernel(np.zeros((s, c, 2)), np.zeros(s))
+        elif change == "gates_unequal_length":  # a dilated kernel one tap longer
+            w.blocks[2].dilated = ConvKernel(np.zeros((c, c, 4)), np.zeros(c), 4)
         elif change == "context_dilated":
-            context = ConvKernel(context.weights, context.bias, 2)
+            w.context = ConvKernel(w.context.weights, w.context.bias, 2)
         elif change == "context_not_square":
-            context = ConvKernel(np.zeros((3, 2, 5)), np.zeros(3))
+            w.context = ConvKernel(np.zeros((s, s - 1, 5)), np.zeros(s))
         else:
-            head = ConvKernel(np.zeros((1, 3, 2)), np.zeros(1))
+            w.output_proj = ConvKernel(np.zeros((1, s, 2)), np.zeros(1))
         with pytest.raises(ShapeError):
-            T.readout(gates, skips, context, head)
+            M.forward(w, Tensor(np.zeros((6, 10))))
+        with pytest.raises(ShapeError):
+            M.forward_streaming(w, M.StreamState(w.config), np.zeros((6, 10)))
 
 
 class TestBackward:
@@ -654,16 +623,27 @@ class TestBackward:
 
 
 class TestScaleChannels:
+    """forward's input normalizer, (x - offset) * scale per channel."""
+
     def test_affine_applied(self):
-        x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        y = scale_channels(x, np.array([1.0, 3.0]), np.array([2.0, 10.0]))
-        assert y.data.tolist() == [[0.0, 2.0], [0.0, 10.0]]
+        w = network(3)
+        x = np.random.default_rng(4).standard_normal((6, 20))
+        normalized = (x - w.input_offset[:, None]) * w.input_scale[:, None]
+        want = M.forward(w, x).data
+        w.input_offset[:], w.input_scale[:] = 0.0, 1.0
+        assert np.array_equal(M.forward(w, normalized).data, want)
 
     def test_gradient_scales(self):
-        x = Tensor(np.ones((2, 3)), requires_grad=True)
-        y = scale_channels(x, np.zeros(2), np.array([2.0, 5.0]))
-        backward(sum_all(y))
-        assert np.array_equal(x.grad, np.array([[2.0] * 3, [5.0] * 3]))
+        w = network(5)
+        rng = np.random.default_rng(6)
+        x, g = rng.standard_normal((6, 20)), rng.standard_normal((1, 20))
+        xt = Tensor(x, requires_grad=True)
+        backward(sum_all(mul(M.forward(w, xt), Tensor(g))))
+        scale = w.input_scale.copy()
+        ut = Tensor((x - w.input_offset[:, None]) * scale[:, None], requires_grad=True)
+        w.input_offset[:], w.input_scale[:] = 0.0, 1.0
+        backward(sum_all(mul(M.forward(w, ut), Tensor(g))))
+        assert np.array_equal(xt.grad, ut.grad * scale[:, None])
 
 
 class TestAdam:
