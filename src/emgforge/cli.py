@@ -187,6 +187,7 @@ def cmd_eval(args) -> None:
     cfg = segmenting_config(cfg, Path(args.ckpt).with_suffix(".run.json"), explicit)
     weights = load_weights(args.ckpt, expected_config=cfg.model if explicit else None)
     segments = _load_segments(Path(args.data), cfg, args.motion)
+    dataio.check_unique_ids(segments)
 
     # Finite weights can still overflow; such a report is refused, not written.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -522,7 +522,6 @@ class WindowBatch:
 
     inputs: np.ndarray
     targets: np.ndarray
-    crop_length: int
     segment_ids: list[str]
 
 
@@ -532,7 +531,6 @@ def make_windows(
     batch_size: int,
     seed: int,
     epoch: int = 0,
-    min_length: int | None = None,
 ) -> Iterator[WindowBatch]:
     """Yield one epoch of random contiguous crops from the training segments.
 
@@ -543,10 +541,6 @@ def make_windows(
     """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    if min_length is not None and crop_length < min_length:
-        raise ConfigError(
-            f"crop_length {crop_length} is below the required minimum {min_length}"
-        )
     if not split.train:
         raise InsufficientDataError("split has no training segments")
     longest = max(len(s) for s in split.train)
@@ -583,7 +577,7 @@ def make_windows(
                 inputs[bi] = seg.imu[:, start : start + crop_length]
                 targets[bi, 0] = seg.target[start : start + crop_length]
             ids.append(seg.segment_id)
-        yield WindowBatch(inputs=inputs, targets=targets, crop_length=crop_length, segment_ids=ids)
+        yield WindowBatch(inputs=inputs, targets=targets, segment_ids=ids)
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +585,15 @@ def make_windows(
 # ---------------------------------------------------------------------------
 
 _SEGMENT_HEADER = ("segment_id", "sample_idx", "emg_norm_env", "ax", "ay", "az", "gx", "gy", "gz")
+
+
+def check_unique_ids(segments: list[MergedSegment]) -> None:
+    """Raise SchemaError if two segments share an id, which names their rows and files."""
+    seen = set()
+    for seg in segments:
+        if seg.segment_id in seen:
+            raise SchemaError(f"two segments share the id {seg.segment_id!r}")
+        seen.add(seg.segment_id)
 
 
 def write_segments(segments: list[MergedSegment], path) -> None:
@@ -605,10 +608,7 @@ def write_segments(segments: list[MergedSegment], path) -> None:
     rates = {seg.meta.fs for seg in segments}
     if len(rates) > 1:
         raise SchemaError(f"segments carry different sample rates: {sorted(rates)}")
-    ids = [seg.segment_id for seg in segments]
-    for n, seg_id in enumerate(ids):
-        if seg_id in ids[:n]:
-            raise SchemaError(f"two segments share the id {seg_id!r}; their rows would merge")
+    check_unique_ids(segments)
     path = Path(path)
     row = ",%d" + ",%.17g" * 7 + _CSV_EOL
     with open(path, "w", newline="") as fh:

@@ -9,15 +9,17 @@ per block.
 The network has one implementation, on a plan folded from the weights
 (_Plan). Per block it stacks the input's taps, takes one product and the
 activation, and adds the residual; the skips, context conv and head are
-linear, so one tail product and w shifted adds give the output. The batch
-pass forward() runs it over a whole input as one recorded autodiff op,
-whose backward is derived by hand on the plan. The block path runs the
-same code on chunks of a stream, with the stream's recent inputs as left
-context, so eval and validation memory does not grow with the input. A
-streaming step folds the plan further: it gathers all history taps in one
-indexed read, then runs each block as one product and its activation, and
-adds one product for skips, context and head. Streaming, in steps or
-blocks, reproduces the batch output within rounding.
+linear, so one tail product and w shifted adds give the output. There is
+one output channel, the only count ModelConfig accepts. The batch pass
+forward() runs the plan over a whole [in_channels x T] input as one
+recorded autodiff op returning [1 x T], whose backward is derived by hand
+on the plan. The block path runs the same code on chunks of a stream, with
+the stream's recent inputs as left context, so eval and validation memory
+does not grow with the input. A streaming step folds the plan further: it
+gathers all history taps in one indexed read, then runs each block as one
+product and its activation, and adds one product for skips, context and
+head. Streaming, in steps or blocks, reproduces the batch output within
+rounding.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .tensor import (
     as_tensor,
     grad_enabled,
     he_uniform_init,
-    lag_fold,
     record,
     stack_taps,
 )
@@ -68,8 +69,10 @@ class ModelConfig:
             raise ConfigError(f"num_blocks must be >= 1, got {self.num_blocks}")
         if self.context_window < 1:
             raise ConfigError(f"context_window must be >= 1, got {self.context_window}")
-        if min(self.residual_channels, self.skip_channels, self.in_channels, self.out_channels) < 1:
+        if min(self.residual_channels, self.skip_channels, self.in_channels) < 1:
             raise ConfigError("channel counts must be >= 1")
+        if self.out_channels != 1:  # the network predicts one EMG envelope
+            raise ConfigError(f"out_channels must be 1, got {self.out_channels}")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
 
@@ -231,14 +234,14 @@ class _Plan:
     column, read against a constant 1. A gated kernel's gate half is
     halved, so one tanh gives tanh(b/2) and g = tanh(a) * (1 + tanh(b/2)) / 2;
     the residual and tail weights take the 1/2. The skip 1x1s, the context
-    conv and the head are linear: row m of output o's [w x N*(C+1)] tail is
-    what a column's gates add to that output m steps later. `outputs` output
-    channels get a tail; `tail` and `const` are channel 0's.
+    conv and the head are linear: row m of the lag fold [w x S] maps the skip
+    sum to the output m steps later, and row m of the [w x N*(C+1)] tail is
+    what a column's gates add to it.
 
     The arrays are filled in place by _build_plan.
     """
 
-    def __init__(self, config: ModelConfig, outputs: int = 1):
+    def __init__(self, config: ModelConfig):
         self.config = config
         k, c, w = config.kernel_size, config.residual_channels, config.context_window
         n_blocks, n_in = config.num_blocks, config.in_channels
@@ -247,11 +250,10 @@ class _Plan:
         self.offset, self.scale = np.empty(n_in), np.empty(n_in)
         self.input_w, self.input_b = np.empty((c, n_in)), np.empty(c)
         self.dilated = np.empty((n_blocks, p, c * k + 1))
-        self.current = np.empty((n_blocks, p, c))  # current taps, contiguous for the fold
         self.residual = np.empty((n_blocks - 1, c, c + 1))  # the last block's is never read
         self.skips = np.empty((config.skip_channels, n_blocks, c + 1))
-        self.tails = np.empty((outputs, w, n_blocks * (c + 1)))
-        self.tail = self.tails[0]
+        self.fold = np.empty((w, config.skip_channels))
+        self.tail = np.empty((w, n_blocks * (c + 1)))
 
     def _build_plan(self, weights: ModelWeights) -> None:
         if self.config != (cfg := weights.config):
@@ -270,19 +272,16 @@ class _Plan:
             dilated[:, :-1] = blk.dilated.weights.reshape(p, -1)
             dilated[:, -1] = blk.dilated.bias
             dilated[c:] *= half
-            self.current[i] = dilated[:, :-1].reshape(p, c, -1)[:, :, -1]
             if i < len(self.residual):
                 np.multiply(blk.residual.weights[:, :, 0], half, out=self.residual[i, :, :c])
                 self.residual[i, :, c] = blk.residual.bias
             np.multiply(blk.skip.weights[:, :, 0], half, out=self.skips[:, i, :c])
             self.skips[:, i, c] = blk.skip.bias
-        fold = lag_fold(weights.context, weights.output_proj)
-        head = weights.output_proj.weights[:, :, 0]
-        self.consts = []
-        for o, tail in enumerate(self.tails):
-            np.matmul(fold[:, o], self.skips.reshape(len(self.skips), -1), out=tail)
-            self.consts.append(float(head[o] @ weights.context.bias + weights.output_proj.bias[o]))
-        self.const = self.consts[0]
+        # fold[m] = head . (context tap w-1-m), the skip sum at t - m to the output at t.
+        head = weights.output_proj.weights[0, :, 0]
+        np.einsum("s,sit->ti", head, weights.context.weights[:, :, ::-1], out=self.fold)
+        np.matmul(self.fold, self.skips.reshape(len(self.skips), -1), out=self.tail)
+        self.const = float(head @ weights.context.bias + weights.output_proj.bias[0])
         self.source = weights
         self.folded = False
 
@@ -318,7 +317,7 @@ def _shifted_sum(contributions: np.ndarray, sums: np.ndarray) -> None:
 
 
 def forward(weights: ModelWeights, x) -> Tensor:
-    """Full-sequence forward pass: [in_channels x T] -> [out_channels x T].
+    """Full-sequence forward pass: [in_channels x T] -> [1 x T].
 
     One recorded op: the block path's code over all of x with zero left
     context, on a plan built from the weights at each call. When recorded
@@ -329,7 +328,7 @@ def forward(weights: ModelWeights, x) -> Tensor:
     x = as_tensor(x)
     if x.data.shape[0] != cfg.in_channels:
         raise ShapeError(f"model expects {cfg.in_channels} input channels, got {x.data.shape[0]}")
-    plan = _Plan(cfg, cfg.out_channels)
+    plan = _Plan(cfg)
     plan._build_plan(weights)
     c, n_blocks, t_len = cfg.residual_channels, cfg.num_blocks, x.data.shape[1]
     z = np.empty((c, t_len))
@@ -349,10 +348,9 @@ def forward(weights: ModelWeights, x) -> Tensor:
             pres.append(pre)
         if i < n_blocks - 1:
             z = z + plan.residual[i] @ g1
-    w = cfg.context_window
-    sums = np.zeros((cfg.out_channels, t_len + w))
-    _shifted_sum((plan.tails.reshape(-1, len(gates)) @ gates).reshape(-1, w, t_len), sums)
-    y = sums[:, :t_len] + np.array(plan.consts)[:, None]
+    sums = np.zeros(t_len + cfg.context_window)
+    _shifted_sum(plan.tail @ gates, sums)
+    y = sums[:t_len] + plan.const
     return record(
         y, (x,), lambda out: _forward_backward(plan, x, zs, pres, gates, out.grad), requires=True
     )
@@ -365,26 +363,23 @@ def _forward_backward(plan: _Plan, x: Tensor, zs, pres, gates, gy: np.ndarray) -
     weights by the same exact factor of 1/2."""
     weights, cfg = plan.source, plan.config
     c, k, w = cfg.residual_channels, cfg.kernel_size, cfg.context_window
-    n_out, t_len = gy.shape
+    gy, t_len = gy[0], gy.shape[1]
     half = 0.5 if plan.gated else 1.0
     p = plan.dilated.shape[1]
 
-    # Contribution m of column t reaches output t + m: lags[o*w + m, t] = gy[o, t + m].
-    lags = np.zeros((n_out, w, t_len))
+    # Contribution m of column t reaches output t + m: lags[m, t] = gy[t + m].
+    lags = np.zeros((w, t_len))
     for m in range(min(w, t_len)):
-        lags[:, m, : t_len - m] = gy[:, m:]
-    lags = lags.reshape(n_out * w, t_len)
-    tails = plan.tails.reshape(n_out * w, -1)
+        lags[m, : t_len - m] = gy[m:]
     d_tails = lags @ gates.T
-    # tails[o, m] = fold[m, o] @ skips, fold[m] = head . (context tap w-1-m).
-    fold = lag_fold(weights.context, weights.output_proj).transpose(1, 0, 2)
-    d_skips = (fold.reshape(n_out * w, -1).T @ d_tails).reshape(plan.skips.shape)
-    d_taps = (d_tails @ plan.skips.reshape(len(plan.skips), -1).T).reshape(n_out, w, -1)[:, ::-1]
-    head, context = weights.output_proj.weights[:, :, 0], weights.context
-    gy_sum = gy.sum(axis=1)
-    accumulate_kernel(context, np.einsum("os,oti->sit", head, d_taps), head.T @ gy_sum)
-    d_head = np.einsum("oti,sit->os", d_taps, context.weights) + np.outer(gy_sum, context.bias)
-    accumulate_kernel(weights.output_proj, d_head[:, :, None], gy_sum)
+    # tail[m] = fold[m] @ skips.
+    d_skips = (plan.fold.T @ d_tails).reshape(plan.skips.shape)
+    d_taps = (d_tails @ plan.skips.reshape(len(plan.skips), -1).T)[::-1]
+    head, context = weights.output_proj.weights[0, :, 0], weights.context
+    gy_sum = gy.sum(keepdims=True)
+    accumulate_kernel(context, np.einsum("s,ti->sit", head, d_taps), head * gy_sum)
+    d_head = np.einsum("ti,sit->s", d_taps, context.weights) + gy_sum * context.bias
+    accumulate_kernel(weights.output_proj, d_head[None, :, None], gy_sum)
 
     dz = np.zeros((c, t_len))  # block i's input gradient, built on block i+1's
     d_pre, grad_taps = np.empty((p, t_len)), np.empty((k * c, t_len))
@@ -393,7 +388,7 @@ def _forward_backward(plan: _Plan, x: Tensor, zs, pres, gates, gy: np.ndarray) -
         rows = slice(i * (c + 1), (i + 1) * (c + 1))
         g1 = gates[rows]
         accumulate_kernel(blk.skip, (d_skips[:, i, :c] * half)[:, :, None], d_skips[:, i, c])
-        dg = tails[:, rows][:, :c].T @ lags
+        dg = plan.tail[:, rows][:, :c].T @ lags
         if i < len(plan.residual):  # z_{i+1} = z_i + residual_i @ g1
             d_res = dz @ g1.T
             accumulate_kernel(blk.residual, (d_res[:, :c] * half)[:, :, None], d_res[:, c])
@@ -440,7 +435,7 @@ class StreamState(_Plan):
     began they read zero, the batch pass's left padding. New rows go in at
     the cursor, and when the tape is full its last L rows are copied to the
     front, so its size is set by the receptive field, not the stream. The
-    plan (_Plan) predicts output channel 0 into a buffer of future ones.
+    plan (_Plan) adds each sample's gates into a buffer of future predictions.
 
     A step runs on one flat vector: the input segment [v; 1; taps_0], then
     per block i the segment [z_i; a_i; 1; taps_{i+1}], where taps_i are
@@ -546,7 +541,7 @@ class StreamState(_Plan):
                 trans[:c, c : c + p] = np.tile(self.residual[i - 1, :, :c], p // c)
                 trans[:c, c + p] = self.residual[i - 1, :, c]
             kernel = self.dilated[i, :, :-1].reshape(p, c, k)
-            np.matmul(self.current[i], trans[:c, :src], out=trans[c:, :src])
+            np.matmul(kernel[:, :, -1], trans[:c, :src], out=trans[c:, :src])
             trans[c:, src - 1] += self.dilated[i, :, -1]
             for j in range(k - 1):
                 trans[c:, src + j :: k - 1] = kernel[:, :, j]

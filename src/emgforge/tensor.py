@@ -2,10 +2,10 @@
 
 Shapes are [channels x time]; scalars are (1, 1). An op computes its output
 and hands it to record() with its inputs and a backward function, which
-passes gradients on with accumulate(); the network is one such op, defined
-in model.py. The ops here are what the loss and the tests' reference chain
-need: a causal dilated conv, the gated activation, elementwise arithmetic,
-full reductions, the lag fold of a context conv and a head, and an Adam
+passes gradients on with accumulate(); the network is one such op,
+model.forward, which maps [in_channels x T] to [1 x T]. The ops here are
+what the loss and the tests' reference chain need: a causal dilated conv,
+the gated activation, elementwise arithmetic, full reductions and an Adam
 step. Everything is float64 numpy with a fixed reduction order, so a given
 input always produces bit-identical results. The causal conv runs on one
 stack of its input's delayed copies in the weights' own order
@@ -320,12 +320,6 @@ def conv1d_causal(x: Tensor, kernel: ConvKernel) -> Tensor:
     out_data = kernel.weights.reshape(kernel.weights.shape[0], -1) @ data
     out_data += kernel.bias[:, None]
     return record(out_data, (x,), lambda out: _conv_backward(x, kernel, out.grad), requires=True)
-
-
-def lag_fold(context: ConvKernel, head: ConvKernel) -> np.ndarray:
-    """[w x O x S]: A[m] = head . (context tap w-1-m), the linear map from
-    the skip sum at t - m to the output at t, for a 1x1 head."""
-    return np.einsum("os,sit->toi", head.weights[:, :, 0], context.weights)[::-1]
 
 
 def backward(loss: Tensor) -> None:

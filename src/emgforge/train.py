@@ -257,9 +257,8 @@ def train(
             t0 = time.perf_counter()
             loss_sum = 0.0
             n_windows = 0
-            for batch in make_windows(
-                split, cfg.crop_length, cfg.batch_size, cfg.seed, epoch=epoch, min_length=rf
-            ):
+            windows = make_windows(split, cfg.crop_length, cfg.batch_size, cfg.seed, epoch=epoch)
+            for batch in windows:
                 inv_b = Tensor(np.array([[1.0 / batch.inputs.shape[0]]]))
                 # Each window's gradients start from zero, so summing them in
                 # window order adds the same terms in the same order as one

@@ -562,6 +562,33 @@ class TestTrainEvalBench:
             rc = cli.main(["stream-bench", "--ckpt", str(corrupt), "--seconds", "0.05"])
         assert rc == cli.EXIT_BREACH
 
+    def test_two_output_checkpoint_rejected(self, data_dir, run_dir, tmp_path, capsys):
+        """eval and stream-bench refuse a checkpoint whose header says two
+        outputs, rather than scoring its first."""
+        blob = (run_dir / "model.ckpt").read_bytes()
+        two = tmp_path / "two.ckpt"
+        two.write_bytes(blob.replace(b"config.out_channels=1", b"config.out_channels=2", 1))
+        report = tmp_path / "r.csv"
+        args = ["--data", str(data_dir), "--ckpt", str(two), "--report", str(report)]
+        assert cli.main(["eval", *args]) == cli.EXIT_USAGE
+        assert cli.main(["stream-bench", "--ckpt", str(two), "--seconds", "0.05"]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("out_channels must be 1") == 2
+        assert not report.exists()
+
+    def test_eval_rejects_shared_segment_ids(self, data_dir, run_dir, tmp_path, capsys):
+        """Recordings without sidecars all give unknown_unknown_day0_repNN ids,
+        so their prediction files would overwrite each other."""
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        for path in sorted(data_dir.glob("*.csv")):
+            (bare / path.name).write_bytes(path.read_bytes())
+        report, plots = tmp_path / "out" / "r.csv", tmp_path / "plots"
+        args = ["--data", str(bare), "--ckpt", str(run_dir / "model.ckpt"), "--report", str(report)]
+        assert cli.main(["eval", *args, "--plots", str(plots)]) == cli.EXIT_USAGE
+        assert "share the id 'unknown_unknown_day0_rep00'" in capsys.readouterr().err
+        assert not report.parent.exists() and not plots.exists()
+
     def test_stream_bench_rejects_nonfinite_checkpoint(self, run_dir, tmp_path, capsys):
         from emgforge.model import save_weights
 

@@ -562,8 +562,6 @@ class TestWindows:
         with pytest.raises(ConfigError):
             list(dataio.make_windows(split, 512, 0, seed=0))
         with pytest.raises(ConfigError):
-            list(dataio.make_windows(split, 512, 2, seed=0, min_length=600))
-        with pytest.raises(ConfigError):
             list(dataio.make_windows(split, 4096, 2, seed=0))
 
 

@@ -43,6 +43,8 @@ class TestReceptiveField:
             M.ModelConfig(num_blocks=0)
         with pytest.raises(ConfigError):
             M.ModelConfig(activation="swish")
+        with pytest.raises(ConfigError, match="out_channels must be 1"):
+            M.ModelConfig(out_channels=2)
 
 
 class TestForward:
@@ -327,12 +329,11 @@ class TestStreaming:
     n_blocks=st.integers(1, 4),
     window=st.integers(1, 8),
     activation=st.sampled_from(M.ACTIVATIONS),
-    out_channels=st.integers(1, 2),
     before_reset=st.integers(1, 40),
     seed=st.integers(0, 1000),
 )
 def test_streaming_matches_batch_random_configs(
-    k, n_blocks, window, activation, out_channels, before_reset, seed
+    k, n_blocks, window, activation, before_reset, seed
 ):
     cfg = M.ModelConfig(
         kernel_size=k,
@@ -340,7 +341,6 @@ def test_streaming_matches_batch_random_configs(
         residual_channels=4,
         skip_channels=3,
         context_window=window,
-        out_channels=out_channels,
         activation=activation,
     )
     w = M.init_weights(cfg, seed=seed)
@@ -374,13 +374,12 @@ _PIECES = st.one_of(
     n_blocks=st.integers(1, 4),
     window=st.integers(1, 8),
     activation=st.sampled_from(M.ACTIVATIONS),
-    out_channels=st.integers(1, 2),
     pieces=st.lists(_PIECES, min_size=1, max_size=6),
     reset_at=st.integers(0, 6),
     seed=st.integers(0, 1000),
 )
 def test_block_streaming_matches_batch_over_random_partitions(
-    k, n_blocks, window, activation, out_channels, pieces, reset_at, seed
+    k, n_blocks, window, activation, pieces, reset_at, seed
 ):
     cfg = M.ModelConfig(
         kernel_size=k,
@@ -388,7 +387,6 @@ def test_block_streaming_matches_batch_over_random_partitions(
         residual_channels=4,
         skip_channels=3,
         context_window=window,
-        out_channels=out_channels,
         activation=activation,
     )
     w = M.init_weights(cfg, seed=seed)
@@ -635,6 +633,7 @@ class TestCheckpoint:
             (b"format_version=1\n", b"format_version=1\nformat_version=1\n", "duplicated"),
             (b"config.kernel_size=2", b"config.kernel_size=1", "invalid config"),
             (b"config.in_channels=6", b"config.in_channels=0", "invalid config"),
+            (b"config.out_channels=1", b"config.out_channels=2", "invalid config: out_channels"),
             # A huge model is refused by the manifest check, before any allocation.
             (b"config.residual_channels=3", b"config.residual_channels=100000000", "layout"),
             (b"config.num_blocks=2", b"config.num_blocks=100000000", "layout"),
@@ -710,10 +709,9 @@ def test_causality_property_random_configs(k, n_blocks, c_res, c_skip, window, s
     k=st.integers(2, 4),
     n_blocks=st.integers(1, 4),
     activation=st.sampled_from(M.ACTIVATIONS),
-    out_channels=st.integers(1, 2),
     seed=st.integers(0, 1000),
 )
-def test_recorded_forward_causality(k, n_blocks, activation, out_channels, seed):
+def test_recorded_forward_causality(k, n_blocks, activation, seed):
     """With gradients recorded, an edit of the future leaves past outputs
     bit-exact, and past outputs send no gradient to the future."""
     cfg = M.ModelConfig(
@@ -722,7 +720,6 @@ def test_recorded_forward_causality(k, n_blocks, activation, out_channels, seed)
         residual_channels=3,
         skip_channels=2,
         context_window=4,
-        out_channels=out_channels,
         activation=activation,
     )
     w = _random_weights(cfg, seed)
@@ -736,8 +733,8 @@ def test_recorded_forward_causality(k, n_blocks, activation, out_channels, seed)
     y = M.forward(w, xt)
     assert y.requires_grad
     assert np.array_equal(y.data[:, :cut], M.forward(w, Tensor(x_mod)).data[:, :cut])
-    past = np.zeros((out_channels, t_len))
-    past[:, :cut] = rng.standard_normal((out_channels, cut))
+    past = np.zeros((1, t_len))
+    past[:, :cut] = rng.standard_normal((1, cut))
     backward(sum_all(mul(y, Tensor(past))))
     assert np.all(xt.grad[:, cut:] == 0.0)
 

@@ -262,7 +262,7 @@ class TestGradientAdoption:
         assert np.array_equal(s.grad, g1)
 
 
-def network(seed, activation="gated", k=3, n_out=1, blocks=3, c=4, s=3, window=5):
+def network(seed, activation="gated", k=3, blocks=3, c=4, s=3, window=5):
     """A small model with a random input normalizer and biases, so no term vanishes."""
     cfg = M.ModelConfig(
         kernel_size=k,
@@ -270,7 +270,6 @@ def network(seed, activation="gated", k=3, n_out=1, blocks=3, c=4, s=3, window=5
         residual_channels=c,
         skip_channels=s,
         context_window=window,
-        out_channels=n_out,
         activation=activation,
     )
     w = M.init_weights(cfg, seed=seed)
@@ -297,7 +296,7 @@ def assert_matches_chain(weights, t_len, seed):
     1e-12 of each array's max-abs."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((6, t_len))
-    target = rng.standard_normal((weights.config.out_channels, t_len))
+    target = rng.standard_normal((1, t_len))
     got = network_grads(M.forward, weights, x, target)
     want = network_grads(unfused_forward, weights, x, target)
     assert len(got) == len(want)
@@ -342,8 +341,7 @@ class TestFusedBlockOps:
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("t_len", [1, 3, 257, 1024])
     def test_matches_unfused_chain(self, activation, k, t_len):
-        for n_out in (1, 2):
-            assert_matches_chain(network(k + t_len, activation, k, n_out), t_len, seed=t_len)
+        assert_matches_chain(network(k + t_len, activation, k), t_len, seed=t_len)
 
     @pytest.mark.parametrize("activation", ["gated", "relu"])
     def test_gradients_match_finite_differences(self, activation):
@@ -366,16 +364,16 @@ class TestReadout:
     """The skips, context conv and head now run as forward's tail product."""
 
     @pytest.mark.parametrize("activation", ["gated", "relu"])
-    @pytest.mark.parametrize("n_out", [1, 2])
+    @pytest.mark.parametrize("blocks", [1, 2])  # one block has no residual 1x1
     @pytest.mark.parametrize("t_len", [1, 3, 64])  # 1 and 3 are shorter than the window
-    def test_matches_unfused_chain(self, activation, n_out, t_len):
-        w = network(t_len + n_out, activation, k=2, n_out=n_out, blocks=4, c=3, s=5, window=7)
-        assert_matches_chain(w, t_len, seed=t_len + 10 * n_out)
+    def test_matches_unfused_chain(self, activation, blocks, t_len):
+        w = network(t_len + blocks, activation, k=2, blocks=blocks, c=3, s=5, window=7)
+        assert_matches_chain(w, t_len, seed=t_len + 10 * blocks)
 
     def test_gradients_match_finite_differences(self):
-        w = network(7, n_out=2, blocks=2, c=2, s=3, window=4)
+        w = network(7, blocks=2, c=2, s=3, window=4)
         rng = np.random.default_rng(8)
-        x, target = rng.standard_normal((6, 12)), rng.standard_normal((2, 12))
+        x, target = rng.standard_normal((6, 12)), rng.standard_normal((1, 12))
         tail = ("skip", "context", "output_proj")
         names = [n for n in w.parameter_arrays() if n.split(".")[-2] in tail]
         assert_gradients_match_finite_differences(w, names, x, target)

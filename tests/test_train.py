@@ -16,7 +16,7 @@ from emgforge.errors import (
     InsufficientDataError,
     ShapeError,
 )
-from emgforge.model import ModelConfig, forward, init_weights, receptive_field
+from emgforge.model import ModelConfig, forward, init_weights
 from emgforge.tensor import Tensor, adam_step, backward, mul, no_grad
 
 FS = 1000.0
@@ -252,7 +252,6 @@ class TestTrainLoop:
 def serial_train(weights, split, cfg):
     """The oracle: every window of a batch forward and backward one after
     another on the main thread, accumulating into the weights' own gradients."""
-    rf = receptive_field(weights.config).total
     tr.fit_input_normalizer(weights, split.train)
     params = weights.parameter_arrays()
     state = None
@@ -260,9 +259,8 @@ def serial_train(weights, split, cfg):
     losses, best = [], None
     for epoch in range(1, cfg.max_epochs + 1):
         loss_sum, n = 0.0, 0
-        for batch in dataio.make_windows(
-            split, cfg.crop_length, cfg.batch_size, cfg.seed, epoch=epoch, min_length=rf
-        ):
+        windows = dataio.make_windows(split, cfg.crop_length, cfg.batch_size, cfg.seed, epoch=epoch)
+        for batch in windows:
             weights.zero_grads()
             inv_b = Tensor(np.array([[1.0 / batch.inputs.shape[0]]]))
             for x, y in zip(batch.inputs, batch.targets):
