@@ -1,5 +1,7 @@
 """Every top-level function and class in the package is used by the package
-or by the benchmark harness; code that only tests call is not kept."""
+or by the benchmark harness; code that only tests call is not kept. The
+package raises its invariants as exceptions and holds no `assert`, which
+`python -O` strips."""
 
 import ast
 import importlib
@@ -99,3 +101,13 @@ def test_benchmark_layers_resolve():
         if not hasattr(importlib.import_module(f"emgforge.{module}"), name)
     ]
     assert missing == []
+
+
+def test_package_holds_no_assert():
+    found = [
+        f"{module}:{node.lineno}"
+        for module, tree in _trees(PACKAGE)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -364,7 +364,8 @@ class TestReadout:
     """The skips, context conv and head now run as forward's tail product."""
 
     @pytest.mark.parametrize("activation", ["gated", "relu"])
-    @pytest.mark.parametrize("blocks", [1, 2])  # one block has no residual 1x1
+    # One block has no residual 1x1; four reach dilation 8 with three of them.
+    @pytest.mark.parametrize("blocks", [1, 2, 4])
     @pytest.mark.parametrize("t_len", [1, 3, 64])  # 1 and 3 are shorter than the window
     def test_matches_unfused_chain(self, activation, blocks, t_len):
         w = network(t_len + blocks, activation, k=2, blocks=blocks, c=3, s=5, window=7)
