@@ -144,9 +144,9 @@ def cmd_synth_data(args) -> None:
         )
         stem = f"{args.motion}_day{day}"
         dataio.write_raw_recording(rec, out_dir / f"{stem}.csv")
-        with open(out_dir / f"{stem}_truth.csv", "w") as fh:
+        with open(out_dir / f"{stem}_truth.csv", "w", newline="") as fh:
             fh.write("gt_envelope\n")
-            fh.writelines("%.17g\n" % v for v in truth.tolist())
+            dataio.write_float_rows(fh, [truth], eol="\n")
         print(f"wrote {stem}.csv ({len(rec)} samples, {args.reps} reps)")
 
 
@@ -218,10 +218,10 @@ def cmd_eval(args) -> None:
     pred_dir = report_path.with_name(report_path.stem + "_predictions")
     pred_dir.mkdir(parents=True, exist_ok=True)
     for seg, pred in report.pairs:
-        with open(pred_dir / f"{seg.segment_id}.csv", "w") as fh:
+        with open(pred_dir / f"{seg.segment_id}.csv", "w", newline="") as fh:
             fh.write("t,true,predicted\n")
-            rows = zip(range(seg.bounds.start, seg.bounds.end), seg.target.tolist(), pred.tolist())
-            fh.writelines("%d,%.17g,%.17g\n" % r for r in rows)
+            t = np.arange(seg.bounds.start, seg.bounds.end, dtype=np.float64)
+            dataio.write_float_rows(fh, [t, seg.target, pred], eol="\n")
 
     if args.plots:
         plots_dir = Path(args.plots)

@@ -97,8 +97,10 @@ class RawRecording:
 # Data rows parsed or formatted per block: the row text held at once stays
 # bounded.
 _CSV_BLOCK = 1024
-# Rows are formatted with "%.17g" % v, the same text as f"{v:.17g}", and end
-# with csv.writer's default line terminator, so the bytes match csv.writer's.
+# Every float written to a CSV here is the text of "%.17g" % v (the same as
+# f"{v:.17g}"), made a block at a time by `_g17` and `write_float_rows`.
+# Segment and raw rows end with csv.writer's default line terminator, so
+# their bytes match a row-by-row csv.writer's.
 _CSV_EOL = "\r\n"
 
 
@@ -107,6 +109,155 @@ def _csv_field(text: str) -> str:
     buf = io.StringIO()
     csv.writer(buf).writerow([text, ""])
     return buf.getvalue()[: -len("," + _CSV_EOL)]
+
+
+# ---------------------------------------------------------------------------
+# "%.17g" for a whole array. CPython takes dtoa's bignum path for 17 digits
+# (about 450 ns a value); this kernel gives the same text in numpy.
+# ---------------------------------------------------------------------------
+
+# Bytes per formatted value: "-2.2250738585072014e-308" is the longest text.
+_G17_WIDTH = 24
+# 10**s is an exact double for s <= 22; Veltkamp's split of each into two
+# 26-bit halves makes Dekker's product with it error-free.
+_POW10 = np.array([float(10**s) for s in range(23)])
+_SPLITTER = 134217729.0  # 2**27 + 1
+_POW10_HI = _POW10 * _SPLITTER - (_POW10 * _SPLITTER - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+# "00" to "99" as one uint16 each.
+_DIGIT_PAIRS = np.frombuffer("".join("%02d" % i for i in range(100)).encode(), np.uint16)
+
+# Columns of a value's source row: its sign ('-' or NUL), its 17 digits,
+# then the constant bytes a layout may take.
+_SRC_TAIL = b".0e-\x000123456789"
+_SRC_DOT, _SRC_ZERO, _SRC_E, _SRC_MINUS, _SRC_NUL, _SRC_EXP_DIGITS = range(18, 24)
+_SRC_WIDTH = 18 + len(_SRC_TAIL)
+
+
+def _g_layout(exp10: int, sig: int) -> list[int]:
+    """Source columns of the "%.17g" text of a value whose 17 digits have
+    decimal exponent `exp10` in [-6, 15] and `sig` significant digits before
+    the trailing zeros, NUL-padded to _G17_WIDTH."""
+    digits = list(range(1, 1 + sig))
+    if exp10 >= 0:  # integer digits (trailing zeros kept), then any fraction
+        text = [0, *range(1, exp10 + 2)]
+        if sig > exp10 + 1:
+            text += [_SRC_DOT, *range(exp10 + 2, sig + 1)]
+    elif exp10 >= -4:  # 0.000ddd
+        text = [0, _SRC_ZERO, _SRC_DOT, *[_SRC_ZERO] * (-exp10 - 1), *digits]
+    else:  # d.ddde-0X
+        text = [0, 1, *([_SRC_DOT, *digits[1:]] if sig > 1 else [])]
+        text += [_SRC_E, _SRC_MINUS, _SRC_EXP_DIGITS, _SRC_EXP_DIGITS - exp10]
+    return text + [_SRC_NUL] * (_G17_WIDTH - len(text))
+
+
+# One layout per (exponent + 6) * 17 + (significant digits - 1).
+_G_LAYOUTS = np.array([_g_layout(x, s) for x in range(-6, 16) for s in range(1, 18)], np.intp)
+
+
+def _times_pow10(a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * 10**s exactly, as p + e with p the rounded product (Dekker's
+    TwoProduct, no FMA needed)."""
+    p = a * _POW10[s]
+    c = a * _SPLITTER
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    b_hi, b_lo = _POW10_HI[s], _POW10_LO[s]
+    e = a_lo * b_lo - (((p - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
+    return p, e
+
+
+def _g17(x: np.ndarray) -> np.ndarray:
+    """[len(x) x _G17_WIDTH] uint8: row i, its NUL bytes dropped, is the
+    ASCII of "%.17g" % x[i].
+
+    For 1e-6 < |x| < 1e16 the 17 digits are D = round-half-even(|x| * 10**s),
+    s = 16 - floor(log10 |x|) in [1, 22], so D lies in [1e16, 1e17). The
+    product is exact as p + e, where p >= 1e16 is an even integer; so
+    D = p + rint(e), ties included. Zeros, non-finite values, subnormals and
+    the rest of the range take Python's own "%.17g".
+    """
+    a = np.abs(x)
+    fast = (a > 1e-6) & (a < 1e16)  # False for nan
+    slow = np.flatnonzero(~fast)
+    negative = x < 0
+    if slow.size:
+        a, negative = a[fast], negative[fast]
+    m = a.size
+
+    # The decimal exponent. log10 can be one off near a power of ten, so the
+    # exact product decides: |x| * 10**s must lie in [1e16, 1e17).
+    exp10 = np.floor(np.log10(a)).astype(np.int64)
+    np.clip(exp10, -6, 15, out=exp10)
+    p, e = _times_pow10(a, 16 - exp10)
+    step = ((p > 1e17) | ((p == 1e17) & (e >= 0))).astype(np.int64)
+    step -= (p < 1e16) | ((p == 1e16) & (e < 0))
+    moved = np.flatnonzero(step)
+    if moved.size:
+        exp10[moved] += step[moved]
+        p[moved], e[moved] = _times_pow10(a[moved], 16 - exp10[moved])
+    # p is even, so rint(e) rounds p + e half to even. Nothing rounds up to
+    # 10**17: in range, the double below each power of ten scales to at most
+    # 1e17 - 8.
+    digits = p.astype(np.int64) + np.rint(e).astype(np.int64)
+
+    # Eight digit pairs after the leading digit.
+    upper = digits // 10**8
+    lead = upper // 10**8
+    halves = np.empty((m, 2), np.int32)
+    halves[:, 0] = upper - lead * 10**8
+    halves[:, 1] = digits - upper * 10**8
+    hi = halves // 10**4
+    quads = np.stack([hi, halves - hi * 10**4], axis=2)
+    hi = quads // 100
+    pairs = np.stack([hi, quads - hi * 100], axis=3).reshape(m, 8)
+
+    src = np.empty((m, _SRC_WIDTH), np.uint8)
+    src[:, 0] = negative
+    src[:, 0] *= ord("-")
+    src[:, 1] = lead + ord("0")
+    src[:, 2:18] = _DIGIT_PAIRS.take(pairs).view(np.uint8)
+    src[:, 18:] = np.frombuffer(_SRC_TAIL, np.uint8)
+    sig = 17 - np.argmax(src[:, 17:0:-1] != ord("0"), axis=1)  # before trailing zeros
+    layout = _G_LAYOUTS.take((exp10 + 6) * 17 + sig - 1, axis=0)
+    layout += np.arange(0, m * _SRC_WIDTH, _SRC_WIDTH)[:, None]
+    text = src.ravel().take(layout)
+    if not slow.size:
+        return text
+    out = np.empty((x.size, _G17_WIDTH), np.uint8)
+    out[fast] = text
+    fallback = ["%.17g" % v for v in x[slow].tolist()]
+    out[slow] = np.array(fallback, dtype=f"S{_G17_WIDTH}").view(np.uint8).reshape(-1, _G17_WIDTH)
+    return out
+
+
+def write_float_rows(fh, columns, head: str = "", eol: str = _CSV_EOL) -> None:
+    """Write one CSV row per index of the equal-length `columns` to the text
+    file `fh`: `head` (one field as csv.writer writes it, or nothing), then
+    each value as "%.17g" % v gives it, comma-separated, then `eol`.
+
+    An integer column is exact as float64 below 2**53, and there its
+    "%.17g" text is its "%d" text. Rows are formatted _CSV_BLOCK at a time.
+    """
+    fh.flush()
+    head_bytes = np.frombuffer(head.encode(fh.encoding, fh.errors), np.uint8)
+    eol_bytes = np.frombuffer(eol.encode("ascii"), np.uint8)
+    h = head_bytes.size
+    width = h + len(columns) * (1 + _G17_WIDTH) + eol_bytes.size
+    for lo in range(0, len(columns[0]), _CSV_BLOCK):
+        values = np.stack([c[lo : lo + _CSV_BLOCK] for c in columns], axis=1)
+        n = len(values)
+        rows = np.empty((n, width), np.uint8)
+        rows[:, :h] = head_bytes
+        fields = rows[:, h : width - eol_bytes.size].reshape(n, len(columns), 1 + _G17_WIDTH)
+        fields[:, :, 0] = ord(",")
+        fields[:, :, 1:] = _g17(values.ravel()).reshape(n, len(columns), _G17_WIDTH)
+        if not h:  # the first field starts the row
+            fields[:, 0, 0] = 0
+        rows[:, width - eol_bytes.size :] = eol_bytes
+        keep = rows != 0  # drop the fields' NUL padding, keep the head as it is
+        keep[:, :h] = True
+        fh.buffer.write(rows[keep])
 
 
 def _cell(row: list, idx: int) -> float:
@@ -326,7 +477,7 @@ def load_recording(
 
     The sample rate is the caller's `fs`, else the sidecar's, else 1000 Hz;
     a sidecar `fs` that disagrees with the caller's raises a SchemaError, and
-    so does a sidecar subject or motion holding a path separator.
+    so does a sidecar subject or motion holding a path separator or a NUL.
     """
     path = Path(path)
     schema = dict(DEFAULT_SCHEMA if schema is None else schema)
@@ -363,8 +514,11 @@ def load_recording(
                 day=_sidecar_value(raw, "day", int, 0, sidecar),
             )
             for key, value in (("subject", meta.subject), ("motion", meta.motion)):
-                if "/" in value or "\\" in value:  # segment ids name output files
-                    raise SchemaError(f"{sidecar}: {key} {value!r} must not contain / or \\")
+                # Segment ids name output files, and no file name holds a NUL.
+                if "/" in value or "\\" in value or "\x00" in value:
+                    raise SchemaError(
+                        f"{sidecar}: {key} {value!r} must not contain /, \\ or a NUL"
+                    )
             if "fs" in raw:
                 sidecar_fs = _sidecar_value(raw, "fs", float, None, sidecar)
                 if fs is not None and float(fs) != sidecar_fs:
@@ -388,10 +542,7 @@ def write_raw_recording(rec: RawRecording, path) -> None:
     path = Path(path)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow([DEFAULT_SCHEMA[ch] for ch in CHANNELS])
-        row = ",".join(["%.17g"] * len(CHANNELS)) + _CSV_EOL
-        for lo in range(0, len(rec), _CSV_BLOCK):
-            columns = [getattr(rec, ch).samples[lo : lo + _CSV_BLOCK].tolist() for ch in CHANNELS]
-            fh.writelines(row % r for r in zip(*columns))
+        write_float_rows(fh, [getattr(rec, ch).samples for ch in CHANNELS])
     _write_sidecar(path, {**asdict(rec.meta), "fs": rec.fs})
 
 
@@ -597,7 +748,7 @@ def check_unique_ids(segments: list[MergedSegment]) -> None:
 
 
 def write_segments(segments: list[MergedSegment], path) -> None:
-    """Serialize segments losslessly (17 significant digits per amplitude).
+    """Serialize segments losslessly ("%.17g" per amplitude, by `write_float_rows`).
 
     The sidecar holds one sample rate and the CSV tells rows apart by segment
     id alone, so segments with differing rates or a shared id raise a
@@ -610,19 +761,11 @@ def write_segments(segments: list[MergedSegment], path) -> None:
         raise SchemaError(f"segments carry different sample rates: {sorted(rates)}")
     check_unique_ids(segments)
     path = Path(path)
-    row = ",%d" + ",%.17g" * 7 + _CSV_EOL
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(_SEGMENT_HEADER)
         for seg in segments:
-            head = _csv_field(seg.segment_id)
-            for lo in range(0, len(seg), _CSV_BLOCK):
-                hi = lo + _CSV_BLOCK
-                columns = [
-                    range(seg.bounds.start + lo, seg.bounds.end),
-                    seg.target[lo:hi].tolist(),
-                    *seg.imu[:, lo:hi].tolist(),
-                ]
-                fh.writelines(head + row % r for r in zip(*columns))
+            sample_idx = np.arange(seg.bounds.start, seg.bounds.end, dtype=np.float64)
+            write_float_rows(fh, [sample_idx, seg.target, *seg.imu], _csv_field(seg.segment_id))
     entries = [
         {
             "segment_id": seg.segment_id,

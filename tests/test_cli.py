@@ -9,7 +9,7 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
-from emgforge import cli, dataio
+from emgforge import cli, dataio, synthgen
 from emgforge import train as training
 from emgforge.config import RunConfig, load_run_config
 from emgforge.errors import ConfigError
@@ -144,6 +144,14 @@ class TestSynthData:
             assert rc == 0
         for name in ("bicep_curl_day1.csv", "bicep_curl_day1_truth.csv"):
             assert filecmp.cmp(a / name, b / name, shallow=False)
+
+    def test_truth_rows_are_percent_17g_text(self, data_dir):
+        profile = synthgen.MotionProfile(motion="bicep_curl", n_reps=7)
+        for day in (1, 2):
+            _, truth = synthgen.generate_recording(profile, seed=5 + 7919 * day, day=day)
+            expected = "gt_envelope\n" + "".join("%.17g\n" % v for v in truth.tolist())
+            path = data_dir / f"bicep_curl_day{day}_truth.csv"
+            assert path.read_bytes() == expected.encode("ascii")
 
     def test_zero_reps_rejected(self, tmp_path, capsys):
         rc = cli.main(["synth-data", "--out", str(tmp_path / "x"), "--reps", "0"])
@@ -381,6 +389,13 @@ class TestTrainEvalBench:
         assert len(preds) == 14
         first = preds[0].read_text().splitlines()
         assert first[0] == "t,true,predicted"
+        # Every row is the text "%d,%.17g,%.17g" gives for the values it holds.
+        for pred in preds:
+            lines = pred.read_bytes().decode("ascii").split("\n")
+            assert lines[0] == "t,true,predicted" and lines[-1] == ""
+            for line in lines[1:-1]:
+                t, true, predicted = line.split(",")
+                assert line == "%d,%.17g,%.17g" % (int(t), float(true), float(predicted))
 
     def test_overlay_svg_escapes_its_title(self, tmp_path):
         path = tmp_path / "plot.svg"

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -27,6 +28,11 @@ def write_csv(path, header, rows):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(str(v) for v in row) + "\n")
+
+
+def g17_texts(x):
+    """The text of each value in `x` as dataio's "%.17g" kernel writes it."""
+    return [bytes(row).replace(b"\0", b"").decode("ascii") for row in dataio._g17(x)]
 
 
 def seven_column_rows(n, rng=None):
@@ -116,10 +122,13 @@ class TestLoadRecording:
             dataio.load_recording(path, fs=1000.0)
         assert dataio.load_recording(path, fs=2000.0).fs == 2000.0
 
-    @pytest.mark.parametrize("key, value", [("subject", "../escaped"), ("motion", "up\\down")])
+    @pytest.mark.parametrize(
+        "key, value", [("subject", "../escaped"), ("motion", "up\\down"), ("subject", "a\x00b")]
+    )
     def test_sidecar_path_separator_rejected(self, tmp_path, key, value):
         """Subject and motion become segment ids, which name eval's output
-        files; a separator would write them outside their directory."""
+        files; a separator would write them outside their directory, and a
+        NUL is no file name at all."""
         path = tmp_path / "rec.csv"
         write_csv(path, ["emg", "ax", "ay", "az", "gx", "gy", "gz"], seven_column_rows(5))
         (tmp_path / "rec.meta.json").write_text(json.dumps({key: value}) + "\n")
@@ -365,37 +374,100 @@ class TestColumnarCsv:
         st.one_of(
             st.floats(width=64),
             st.integers(0, 2**64 - 1).map(lambda u: float(np.uint64(u).view(np.float64))),
+            st.floats(-1e16, 1e16),
         )
     )
     def test_percent_format_matches_format_spec(self, v):
-        assert "%.17g" % v == f"{v:.17g}"
+        assert "%.17g" % v == f"{v:.17g}" == g17_texts(np.array([v]))[0]
 
-    def test_segment_bytes_match_csv_writer(self, tmp_path):
-        """Columnar writing gives the bytes of a row-by-row csv.writer."""
-        n = 9
-        rng = np.random.default_rng(3)
-        target = rng.random(n)
-        target[:5] = [0.0, -0.0, 5e-324, 1e-310, 1.0]
-        imu = rng.standard_normal((6, n)) * 1e6
-        imu[2, 3] = np.nan
-        imu[4, 1] = -np.inf
-        seg = dataio.MergedSegment(
-            bounds=dsp.SegmentBounds(40, 40 + n, 44),
-            target=target,
-            imu=imu,
-            meta=dataio.SegmentMeta('s,"1"', "pronation", 2, 0, FS),
+    def test_g17_matches_percent_format_on_adversarial_values(self):
+        rng = np.random.default_rng(11)
+        # Exact ties: j / 2**(17 - e) with j odd has 18 significant digits,
+        # the last a 5, whenever 10**e <= it < 10**(e + 1).
+        ties = []
+        for e in range(-6, 16):
+            k = 17 - e
+            lo, hi = math.ceil(10.0**e * 2**k), min(10 ** (e + 1) * 2**k, 2**53)
+            ties.append(np.ldexp((rng.integers(lo // 2, hi // 2, 200) * 2 + 1).astype(float), -k))
+        powers = np.array([float(f"1e{k}") for k in range(-330, 309)])
+        edges = np.array([1e-6, 1e16, 1e-4, 1e17, 2.0**53])
+        special = np.array([0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, np.inf])
+        x = np.concatenate(
+            [
+                *ties,
+                *(np.nextafter(v, t) for v in (powers, edges) for t in (-np.inf, np.inf)),
+                powers,
+                edges,
+                special,
+                np.arange(-3000.0, 3000.0),
+                10.0 ** rng.uniform(-8, 18, 3000) * rng.choice([-1, 1], 3000),
+            ]
         )
+        x = np.concatenate([x, -x, [np.nan]])
+        assert g17_texts(x) == ["%.17g" % v for v in x.tolist()]
+
+    def test_g17_digits_never_round_up_to_a_power_of_ten(self):
+        """The kernel has no carry: the largest double below each 10**k in its
+        range, scaled to 17 integer digits, rounds below 10**17."""
+        for k in range(-5, 17):
+            below = float(Fraction(10) ** k)
+            if Fraction(below) >= Fraction(10) ** k:
+                below = math.nextafter(below, 0.0)
+            assert round(Fraction(below) * Fraction(10) ** (17 - k)) < 10**17
+
+    @pytest.mark.parametrize("case", ["edge_values", "two_segments_over_blocks"])
+    def test_segment_bytes_match_csv_writer(self, tmp_path, case):
+        """Columnar writing gives the bytes of a row-by-row csv.writer."""
+        rng = np.random.default_rng(3)
+        if case == "edge_values":
+            n = 9
+            target = rng.random(n)
+            target[:5] = [0.0, -0.0, 5e-324, 1e-310, 1.0]
+            imu = rng.standard_normal((6, n)) * 1e6
+            imu[2, 3] = np.nan
+            imu[4, 1] = -np.inf
+            shapes = [(40, target, imu, 's,"1"')]
+        else:  # rows straddle blocks; the id is not ASCII and holds a NUL
+            lengths = (dataio._CSV_BLOCK + 300, dataio._CSV_BLOCK + 5)
+            shapes = [
+                (start, rng.random(n) ** 9, rng.standard_normal((6, n)) * 10.0 ** (i - 1), "s\x00ü,é")
+                for i, (start, n) in enumerate(zip((0, 5000), lengths))
+            ]
+        segments = [
+            dataio.MergedSegment(
+                bounds=dsp.SegmentBounds(start, start + target.size, start + 4),
+                target=target,
+                imu=imu,
+                meta=dataio.SegmentMeta(subject, "pronation", 2, rep, FS),
+            )
+            for rep, (start, target, imu, subject) in enumerate(shapes)
+        ]
         path = tmp_path / "seg.csv"
-        dataio.write_segments([seg], path)
+        dataio.write_segments(segments, path)
         expected = tmp_path / "expected.csv"
         with open(expected, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(dataio._SEGMENT_HEADER)
-            for i in range(n):
-                writer.writerow(
-                    [seg.segment_id, 40 + i, f"{target[i]:.17g}"]
-                    + [f"{imu[c, i]:.17g}" for c in range(6)]
-                )
+            for seg in segments:
+                for i in range(len(seg)):
+                    writer.writerow(
+                        [seg.segment_id, seg.bounds.start + i, f"{seg.target[i]:.17g}"]
+                        + [f"{seg.imu[c, i]:.17g}" for c in range(6)]
+                    )
+        assert path.read_bytes() == expected.read_bytes()
+
+    def test_raw_bytes_match_csv_writer(self, tmp_path):
+        rec, _ = synthgen.generate_recording(synthgen.MotionProfile(n_reps=1), seed=4)
+        rec.emg.samples[:6] = [0.0, -0.0, 5e-324, 1e-7, 1e16, -1e300]
+        path = tmp_path / "raw.csv"
+        dataio.write_raw_recording(rec, path)
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([dataio.DEFAULT_SCHEMA[ch] for ch in dataio.CHANNELS])
+            for i in range(len(rec)):
+                writer.writerow([f"{getattr(rec, ch).samples[i]:.17g}" for ch in dataio.CHANNELS])
+        assert len(rec) > 2 * dataio._CSV_BLOCK
         assert path.read_bytes() == expected.read_bytes()
 
 
