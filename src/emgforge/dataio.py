@@ -118,12 +118,20 @@ def _csv_field(text: str) -> str:
 
 # Bytes per formatted value: "-2.2250738585072014e-308" is the longest text.
 _G17_WIDTH = 24
-# 10**s is an exact double for s <= 22; Veltkamp's split of each into two
-# 26-bit halves makes Dekker's product with it error-free.
+
+
+def _split(v):
+    """Veltkamp's split of float64 `v` into halves of at most 26 bits each,
+    whose products are exact."""
+    c = v * 134217729.0  # 2**27 + 1
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+# 10**s is an exact double for s <= 22, so Dekker's product by it gives
+# |x| * 10**s exactly.
 _POW10 = np.array([float(10**s) for s in range(23)])
-_SPLITTER = 134217729.0  # 2**27 + 1
-_POW10_HI = _POW10 * _SPLITTER - (_POW10 * _SPLITTER - _POW10)
-_POW10_LO = _POW10 - _POW10_HI
+_POW10_HI, _POW10_LO = _split(_POW10)
 # "00" to "99" as one uint16 each.
 _DIGIT_PAIRS = np.frombuffer("".join("%02d" % i for i in range(100)).encode(), np.uint16)
 
@@ -159,9 +167,7 @@ def _times_pow10(a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """a * 10**s exactly, as p + e with p the rounded product (Dekker's
     TwoProduct, no FMA needed)."""
     p = a * _POW10[s]
-    c = a * _SPLITTER
-    a_hi = c - (c - a)
-    a_lo = a - a_hi
+    a_hi, a_lo = _split(a)
     b_hi, b_lo = _POW10_HI[s], _POW10_LO[s]
     e = a_lo * b_lo - (((p - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
     return p, e

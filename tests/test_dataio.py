@@ -415,46 +415,45 @@ class TestColumnarCsv:
                 below = math.nextafter(below, 0.0)
             assert round(Fraction(below) * Fraction(10) ** (17 - k)) < 10**17
 
-    @pytest.mark.parametrize("case", ["edge_values", "two_segments_over_blocks"])
-    def test_segment_bytes_match_csv_writer(self, tmp_path, case):
+    def test_segment_bytes_match_csv_writer(self, tmp_path):
         """Columnar writing gives the bytes of a row-by-row csv.writer."""
+        n = 9
         rng = np.random.default_rng(3)
-        if case == "edge_values":
-            n = 9
-            target = rng.random(n)
-            target[:5] = [0.0, -0.0, 5e-324, 1e-310, 1.0]
-            imu = rng.standard_normal((6, n)) * 1e6
-            imu[2, 3] = np.nan
-            imu[4, 1] = -np.inf
-            shapes = [(40, target, imu, 's,"1"')]
-        else:  # rows straddle blocks; the id is not ASCII and holds a NUL
-            lengths = (dataio._CSV_BLOCK + 300, dataio._CSV_BLOCK + 5)
-            shapes = [
-                (start, rng.random(n) ** 9, rng.standard_normal((6, n)) * 10.0 ** (i - 1), "s\x00ü,é")
-                for i, (start, n) in enumerate(zip((0, 5000), lengths))
-            ]
-        segments = [
-            dataio.MergedSegment(
-                bounds=dsp.SegmentBounds(start, start + target.size, start + 4),
-                target=target,
-                imu=imu,
-                meta=dataio.SegmentMeta(subject, "pronation", 2, rep, FS),
-            )
-            for rep, (start, target, imu, subject) in enumerate(shapes)
+        target = rng.random(n)
+        target[:5] = [0.0, -0.0, 5e-324, 1e-310, 1.0]
+        imu = rng.standard_normal((6, n)) * 1e6
+        imu[2, 3] = np.nan
+        imu[4, 1] = -np.inf
+        edge_values = [(40, target, imu, 's,"1"')]
+        # Rows straddle blocks; the id is not ASCII and holds a NUL.
+        lengths = (dataio._CSV_BLOCK + 300, dataio._CSV_BLOCK + 5)
+        over_blocks = [
+            (start, rng.random(rows) ** 9, rng.standard_normal((6, rows)) * 10.0**i, "s\x00ü,é")
+            for i, (start, rows) in enumerate(zip((0, 5000), lengths))
         ]
-        path = tmp_path / "seg.csv"
-        dataio.write_segments(segments, path)
-        expected = tmp_path / "expected.csv"
-        with open(expected, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(dataio._SEGMENT_HEADER)
-            for seg in segments:
-                for i in range(len(seg)):
-                    writer.writerow(
-                        [seg.segment_id, seg.bounds.start + i, f"{seg.target[i]:.17g}"]
-                        + [f"{seg.imu[c, i]:.17g}" for c in range(6)]
-                    )
-        assert path.read_bytes() == expected.read_bytes()
+        for shapes in (edge_values, over_blocks):
+            segments = [
+                dataio.MergedSegment(
+                    bounds=dsp.SegmentBounds(start, start + target.size, start + 4),
+                    target=target,
+                    imu=imu,
+                    meta=dataio.SegmentMeta(subject, "pronation", 2, rep, FS),
+                )
+                for rep, (start, target, imu, subject) in enumerate(shapes)
+            ]
+            path = tmp_path / "seg.csv"
+            dataio.write_segments(segments, path)
+            expected = tmp_path / "expected.csv"
+            with open(expected, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(dataio._SEGMENT_HEADER)
+                for seg in segments:
+                    for i in range(len(seg)):
+                        writer.writerow(
+                            [seg.segment_id, seg.bounds.start + i, f"{seg.target[i]:.17g}"]
+                            + [f"{seg.imu[c, i]:.17g}" for c in range(6)]
+                        )
+            assert path.read_bytes() == expected.read_bytes()
 
     def test_raw_bytes_match_csv_writer(self, tmp_path):
         rec, _ = synthgen.generate_recording(synthgen.MotionProfile(n_reps=1), seed=4)
