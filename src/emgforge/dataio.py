@@ -1,11 +1,12 @@
 """Recording ingestion, segment assembly, dataset split, and training windows.
 
-Raw recordings are columnar CSV (header row, '#' comment lines dropped),
-one EMG column plus six IMU columns. The EMG channel drives segmentation;
-IMU channels are sliced with the same index ranges, and the result is a
-list of merged segments. `write_segments` saves them as a unified segment
-CSV with a JSON metadata sidecar, an output format that nothing here reads
-back.
+A raw recording is one CSV: a header row naming DEFAULT_SCHEMA's EMG
+column and six IMU columns, then one row per sample; '#' comment lines and
+bad rows are dropped from every channel alike. The EMG channel drives
+segmentation; IMU channels are sliced with the same index ranges, and the
+result is a list of merged segments. `write_segments` saves them as a
+unified segment CSV with a JSON metadata sidecar, an output format that
+nothing here reads back.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ DEFAULT_FS = 1000.0
 CHANNELS = ("emg", "accel_x", "accel_y", "accel_z", "gyro_x", "gyro_y", "gyro_z")
 IMU_CHANNELS = CHANNELS[1:]
 
-# Canonical channel -> default CSV column name.
+# Canonical channel -> its raw CSV column name.
 DEFAULT_SCHEMA = {
     "emg": "emg",
     "accel_x": "ax",
@@ -97,8 +98,9 @@ class RawRecording:
 # Data rows parsed or formatted per block: the row text held at once stays
 # bounded.
 _CSV_BLOCK = 1024
-# Every float written to a CSV here is the text of "%.17g" % v (the same as
-# f"{v:.17g}"), made a block at a time by `_g17` and `write_float_rows`.
+# Every result float the package writes to a CSV is the text of "%.17g" % v
+# (the same as f"{v:.17g}"), made a block at a time by `_g17` and
+# `write_float_rows`.
 # Segment and raw rows end with csv.writer's default line terminator, so
 # their bytes match a row-by-row csv.writer's.
 _CSV_EOL = "\r\n"
@@ -239,14 +241,15 @@ def _g17(x: np.ndarray) -> np.ndarray:
 
 def write_float_rows(fh, columns, head: str = "", eol: str = _CSV_EOL) -> None:
     """Write one CSV row per index of the equal-length `columns` to the text
-    file `fh`: `head` (one field as csv.writer writes it, or nothing), then
-    each value as "%.17g" % v gives it, comma-separated, then `eol`.
+    file `fh`: the text field `head` as csv.writer writes it (nothing when
+    empty), then each value as "%.17g" % v gives it, comma-separated, then
+    `eol`.
 
     An integer column is exact as float64 below 2**53, and there its
     "%.17g" text is its "%d" text. Rows are formatted _CSV_BLOCK at a time.
     """
     fh.flush()
-    head_bytes = np.frombuffer(head.encode(fh.encoding, fh.errors), np.uint8)
+    head_bytes = np.frombuffer(_csv_field(head).encode(fh.encoding, fh.errors), np.uint8)
     eol_bytes = np.frombuffer(eol.encode("ascii"), np.uint8)
     h = head_bytes.size
     width = h + len(columns) * (1 + _G17_WIDTH) + eol_bytes.size
@@ -343,15 +346,13 @@ def _parse_in_c(path: Path, indices: dict, header_lines: int) -> dict | None:
     return {ch: table[:, usecols.index(idx)].copy() for ch, idx in indices.items()}
 
 
-def _read_columns(path, wanted: dict) -> tuple[dict, list[tuple[int, int]]]:
-    """Parse the requested columns, dropping each row in which one of them is
-    missing, unparseable or non-finite.
+def _read_columns(path, wanted: dict) -> dict:
+    """Parse the requested columns, dropping each blank or comment line after
+    the header and each row in which one of them is missing, unparseable or
+    non-finite, from every column alike.
 
-    Returns the columns and the dropped rows as (data row, line) pairs: every
-    line after the header is a data row, counted from 0, and a blank or
-    comment line is a dropped one; lines count from 1. A clean file is parsed
-    in C in one call; any other goes through the block parser. A file that
-    does not decode as text raises a SchemaError.
+    A clean file is parsed in C in one call; any other goes through the block
+    parser. A file that does not decode as text raises a SchemaError.
     """
     path = Path(path)
     try:
@@ -360,7 +361,7 @@ def _read_columns(path, wanted: dict) -> tuple[dict, list[tuple[int, int]]]:
         raise SchemaError(f"{path} is not {exc.encoding} text: {exc.reason}") from exc
 
 
-def _parse_columns(path: Path, wanted: dict) -> tuple[dict, list[tuple[int, int]]]:
+def _parse_columns(path: Path, wanted: dict) -> dict:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = None
@@ -374,60 +375,31 @@ def _parse_columns(path: Path, wanted: dict) -> tuple[dict, list[tuple[int, int]
 
         indices = {}
         for channel, column in wanted.items():
-            if isinstance(column, int):
-                if not 0 <= column < len(header):
-                    raise SchemaError(
-                        f"column index {column} for channel {channel!r} out of range in {path}"
-                    )
-                indices[channel] = column
-            else:
-                if column not in header:
-                    raise SchemaError(
-                        f"missing column {column!r} for channel {channel!r} in {path}"
-                    )
-                indices[channel] = header.index(column)
+            count = header.count(column)
+            if count != 1:  # a repeated name could mean either column
+                where = "is missing from" if not count else f"appears {count} times in"
+                raise SchemaError(
+                    f"column {column!r} for channel {channel!r} {where} the header of {path}"
+                )
+            indices[channel] = header.index(column)
 
         columns = _parse_in_c(path, indices, reader.line_num)
         if columns is not None:
-            return columns, []
+            return columns
 
-        # A blank or comment line is a data row without values, so it is
-        # dropped: skipping it uncounted would shift the file against the
-        # other one in two-file mode.
-        data_rows = (
-            (row if row and not row[0].lstrip().startswith("#") else [], reader.line_num)
-            for row in reader
-        )
+        data_rows = (row for row in reader if row and not row[0].lstrip().startswith("#"))
         parts: dict = {ch: [] for ch in wanted}
-        dropped = []
-        first = 0
+        kept = 0
         while block := list(itertools.islice(data_rows, _CSV_BLOCK)):
-            columns = _parse_block([row for row, _ in block], indices)
+            columns = _parse_block(block, indices)
             keep = np.logical_and.reduce([np.isfinite(v) for v in columns.values()])
             for ch, v in columns.items():
                 parts[ch].append(v[keep])
-            dropped += [(first + int(i), block[i][1]) for i in np.flatnonzero(~keep)]
-            first += len(block)
+            kept += np.count_nonzero(keep)
 
-    if first == len(dropped):
+    if not kept:
         raise EmptyFileError(f"{path} contains no valid data rows")
-    return {ch: np.concatenate(v) for ch, v in parts.items()}, dropped
-
-
-def _require_same_drops(emg_path, emg_dropped, imu_path, imu_dropped, rows: int) -> None:
-    """Two-file mode: a row dropped from one file only would shift every later
-    sample of that file against the other, so it is an error. Rows from `rows`
-    on, past the end of the shorter file, are cut off anyway."""
-    emg_rows, imu_rows = dict(emg_dropped), dict(imu_dropped)
-    lone = {row for row in emg_rows.keys() ^ imu_rows.keys() if row < rows}
-    if lone:
-        row = min(lone)
-        path, line = (emg_path, emg_rows[row]) if row in emg_rows else (imu_path, imu_rows[row])
-        raise SchemaError(
-            f"{path}: data row {row} (line {line}) is blank, a comment, or has a missing, "
-            "unparseable or non-finite value but is kept in the other file; dropping it "
-            "would shift the EMG against the IMU"
-        )
+    return {ch: np.concatenate(v) for ch, v in parts.items()}
 
 
 def _sidecar_path(path: Path) -> Path:
@@ -464,77 +436,42 @@ def _sidecar_value(raw: dict, key: str, kind: type, default, sidecar):
     return kind(value)
 
 
-def load_recording(
-    path,
-    schema: dict | None = None,
-    imu_path=None,
-    fs: float | None = None,
-    meta: RecordingMeta | None = None,
-) -> RawRecording:
-    """Load a recording from one CSV, or EMG and IMU from two files.
+def load_recording(path, fs: float | None = None) -> RawRecording:
+    """Load a recording from one CSV whose header names DEFAULT_SCHEMA's
+    columns; a missing or repeated one raises a SchemaError.
 
-    `schema` maps canonical channel names (see CHANNELS) to column names or
-    zero-based positions. Channels are truncated to the shortest length so
-    slightly ragged acquisitions still align; no resampling is performed, so
-    all channels must already share `fs`. A blank or comment line after the
-    header, and a row with a missing, unparseable or non-finite value, is
-    dropped; in two-file mode it must then be dropped from both files, or a
-    SchemaError names it, unless it lies past the end of the shorter file.
+    A blank or comment line after the header, and a row with a missing,
+    unparseable or non-finite value in any channel, is dropped from every
+    channel alike. No resampling is performed.
 
     The sample rate is the caller's `fs`, else the sidecar's, else 1000 Hz;
     a sidecar `fs` that disagrees with the caller's raises a SchemaError, and
     so does a sidecar subject or motion holding a path separator or a NUL.
     """
     path = Path(path)
-    schema = dict(DEFAULT_SCHEMA if schema is None else schema)
-    unknown = set(schema) - set(CHANNELS)
-    if unknown:
-        raise SchemaError(f"schema names unknown channels: {sorted(unknown)}")
-    missing = set(CHANNELS) - set(schema)
-    if missing:
-        raise SchemaError(f"schema missing channels: {sorted(missing)}")
+    columns = _read_columns(path, DEFAULT_SCHEMA)
 
-    if imu_path is None:
-        columns, _ = _read_columns(path, schema)
-    else:
-        columns, emg_dropped = _read_columns(path, {"emg": schema["emg"]})
-        imu_columns, imu_dropped = _read_columns(
-            imu_path, {ch: schema[ch] for ch in IMU_CHANNELS}
+    meta = RecordingMeta()
+    sidecar = _sidecar_path(path)
+    if sidecar.exists():
+        raw = _read_sidecar(sidecar)
+        meta = RecordingMeta(
+            subject=_sidecar_value(raw, "subject", str, "unknown", sidecar),
+            motion=_sidecar_value(raw, "motion", str, "unknown", sidecar),
+            day=_sidecar_value(raw, "day", int, 0, sidecar),
         )
-        rows = min(
-            len(columns["emg"]) + len(emg_dropped), len(imu_columns["accel_x"]) + len(imu_dropped)
-        )
-        _require_same_drops(path, emg_dropped, imu_path, imu_dropped, rows)
-        columns.update(imu_columns)
-
-    shortest = min(len(v) for v in columns.values())
-    columns = {ch: v[:shortest] for ch, v in columns.items()}
-
-    if meta is None:
-        sidecar = _sidecar_path(path)
-        if sidecar.exists():
-            raw = _read_sidecar(sidecar)
-            meta = RecordingMeta(
-                subject=_sidecar_value(raw, "subject", str, "unknown", sidecar),
-                motion=_sidecar_value(raw, "motion", str, "unknown", sidecar),
-                day=_sidecar_value(raw, "day", int, 0, sidecar),
-            )
-            for key, value in (("subject", meta.subject), ("motion", meta.motion)):
-                # Segment ids name output files, and no file name holds a NUL.
-                if "/" in value or "\\" in value or "\x00" in value:
-                    raise SchemaError(
-                        f"{sidecar}: {key} {value!r} must not contain /, \\ or a NUL"
-                    )
-            if "fs" in raw:
-                sidecar_fs = _sidecar_value(raw, "fs", float, None, sidecar)
-                if fs is not None and float(fs) != sidecar_fs:
-                    raise SchemaError(
-                        f"{sidecar}: sidecar fs={sidecar_fs:g} disagrees with the "
-                        f"configured fs={fs:g}"
-                    )
-                fs = sidecar_fs
-        else:
-            meta = RecordingMeta()
+        for key, value in (("subject", meta.subject), ("motion", meta.motion)):
+            # Segment ids name output files, and no file name holds a NUL.
+            if "/" in value or "\\" in value or "\x00" in value:
+                raise SchemaError(f"{sidecar}: {key} {value!r} must not contain /, \\ or a NUL")
+        if "fs" in raw:
+            sidecar_fs = _sidecar_value(raw, "fs", float, None, sidecar)
+            if fs is not None and float(fs) != sidecar_fs:
+                raise SchemaError(
+                    f"{sidecar}: sidecar fs={sidecar_fs:g} disagrees with the "
+                    f"configured fs={fs:g}"
+                )
+            fs = sidecar_fs
     if fs is None:
         fs = DEFAULT_FS
 
@@ -771,7 +708,7 @@ def write_segments(segments: list[MergedSegment], path) -> None:
         csv.writer(fh).writerow(_SEGMENT_HEADER)
         for seg in segments:
             sample_idx = np.arange(seg.bounds.start, seg.bounds.end, dtype=np.float64)
-            write_float_rows(fh, [sample_idx, seg.target, *seg.imu], _csv_field(seg.segment_id))
+            write_float_rows(fh, [sample_idx, seg.target, *seg.imu], seg.segment_id)
     entries = [
         {
             "segment_id": seg.segment_id,

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import write_float_rows
 from .errors import DegenerateInputError, EmptyInputError, ShapeError
 
 
@@ -165,15 +166,13 @@ class MetricsReport:
 
     def to_csv(self, path) -> None:
         agg = self.aggregate()
+        rows = [(r.segment_id, [getattr(r, m) for m in METRIC_NAMES]) for r in self.rows]
+        stats = ("best", "worst", "average")
+        rows += [(stat, [agg[m][stat] for m in METRIC_NAMES]) for stat in stats]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["segment_id", *METRIC_NAMES])
-            for r in self.rows:
-                writer.writerow(
-                    [r.segment_id] + [f"{getattr(r, m):.17g}" for m in METRIC_NAMES]
-                )
-            for stat in ("best", "worst", "average"):
-                writer.writerow([stat] + [f"{agg[m][stat]:.17g}" for m in METRIC_NAMES])
+            csv.writer(fh).writerow(["segment_id", *METRIC_NAMES])
+            for head, values in rows:
+                write_float_rows(fh, [[v] for v in values], head)
 
     def format_table(self) -> str:
         """Human-readable best/worst/average grid, metrics as rows."""

@@ -78,10 +78,10 @@ def ground_truth_envelope(gyro_y: np.ndarray, gain: float, lag: int, window: int
 def generate_recording(
     profile: MotionProfile,
     seed: int,
-    subject: str = "syn01",
     day: int = 1,
 ) -> tuple[RawRecording, np.ndarray]:
-    """Build one session; returns the recording and its ground-truth envelope.
+    """Build one session of subject "syn01"; returns the recording and its
+    ground-truth envelope.
 
     Identical (profile, seed) inputs produce bit-identical output.
     """
@@ -122,7 +122,7 @@ def generate_recording(
     carrier = carrier / math.sqrt(float(np.mean(carrier**2)))
     emg = envelope * carrier + MAINS_AMPLITUDE * np.sin(2 * math.pi * MAINS_HZ * t) + DC_OFFSET
 
-    meta = RecordingMeta(subject=subject, motion=profile.motion, day=day)
+    meta = RecordingMeta(subject="syn01", motion=profile.motion, day=day)
     rec = RawRecording(
         emg=dsp.SampledSignal(emg, fs),
         accel_x=dsp.SampledSignal(ax, fs),

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
-from .dataio import DatasetSplit, MergedSegment, make_windows
+from .dataio import DatasetSplit, MergedSegment, make_windows, write_float_rows
 from .errors import ConfigError, DivergenceError, InsufficientDataError, ShapeError
 from .model import ModelWeights, StreamState, forward, forward_streaming, receptive_field
 from .tensor import Tensor, adam_step, backward, mean_all, mul, sub
@@ -87,12 +87,11 @@ class TrainHistory:
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "train_loss", "val_loss", "seconds"])
+            csv.writer(fh).writerow(["epoch", "train_loss", "val_loss", "seconds"])
             for e in self.epochs:
-                writer.writerow(
-                    [e.epoch, f"{e.train_loss:.17g}", f"{e.val_loss:.17g}", f"{e.seconds:.6f}"]
-                )
+                # The wall-clock seconds end the row in their own text, six decimals.
+                eol = f",{e.seconds:.6f}\r\n"
+                write_float_rows(fh, [[e.train_loss], [e.val_loss]], str(e.epoch), eol)
 
 
 class EarlyStopper:

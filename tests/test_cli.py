@@ -210,6 +210,18 @@ class TestPreprocess:
         assert rc == cli.EXIT_USAGE
         assert "gyro_z" in capsys.readouterr().err
 
+    def test_repeated_column_exit_code(self, data_dir, tmp_path, capsys):
+        """A second `ax` column leaves accel_x ambiguous: neither is taken."""
+        header, *rows = (data_dir / "bicep_curl_day1.csv").read_text().splitlines()
+        bad = tmp_path / "dup.csv"
+        bad.write_text("\n".join([header + ",ax", *(row + ",0" for row in rows)]) + "\n")
+        out = tmp_path / "o.csv"
+        rc = cli.main(["preprocess", "--in", str(bad), "--out", str(out)])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "'ax'" in err and str(bad) in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "content",
         [

@@ -58,26 +58,24 @@ class TestLoadRecording:
         with pytest.raises(SchemaError, match="gyro_z"):
             dataio.load_recording(path)
 
-    def test_separate_files_truncate_to_shortest(self, tmp_path):
-        emg_path = tmp_path / "emg.csv"
-        imu_path = tmp_path / "imu.csv"
-        rng = np.random.default_rng(1)
-        write_csv(emg_path, ["emg"], [[v] for v in rng.standard_normal(5000)])
-        write_csv(
-            imu_path,
-            ["ax", "ay", "az", "gx", "gy", "gz"],
-            rng.standard_normal((4998, 6)).tolist(),
-        )
-        rec = dataio.load_recording(emg_path, imu_path=imu_path)
-        assert len(rec) == 4998
-
     def test_nonfinite_rows_dropped(self, tmp_path):
+        """Bad cells in different columns drop their whole rows from every
+        channel alike."""
         path = tmp_path / "rec.csv"
-        rows = seven_column_rows(20)
+        rows = [[10 * t + c for c in range(7)] for t in range(20)]
         rows[5][2] = "nan"
         rows[11][0] = "inf"
+        rows[14][6] = "abc"
         write_csv(path, ["emg", "ax", "ay", "az", "gx", "gy", "gz"], rows)
-        assert len(dataio.load_recording(path)) == 18
+        rec = dataio.load_recording(path)
+        kept = [t for t in range(20) if t not in (5, 11, 14)]
+        for c, ch in enumerate(dataio.CHANNELS):
+            assert getattr(rec, ch).samples.tolist() == [10 * t + c for t in kept]
+
+    def test_repeated_unread_column_allowed(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        write_csv(path, ["emg", "ax", "ay", "az", "gx", "gy", "gz", "note", "note"], [range(9)])
+        assert dataio.load_recording(path).gyro_z.samples.tolist() == [6.0]
 
     def test_comment_lines_ignored(self, tmp_path):
         path = tmp_path / "rec.csv"
@@ -96,13 +94,6 @@ class TestLoadRecording:
         write_csv(path, ["emg", "ax", "ay", "az", "gx", "gy", "gz"], [["nan"] * 7])
         with pytest.raises(EmptyFileError):
             dataio.load_recording(path)
-
-    def test_positional_schema(self, tmp_path):
-        path = tmp_path / "rec.csv"
-        write_csv(path, ["c0", "c1", "c2", "c3", "c4", "c5", "c6"], seven_column_rows(5))
-        schema = {ch: i for i, ch in enumerate(dataio.CHANNELS)}
-        rec = dataio.load_recording(path, schema=schema)
-        assert len(rec) == 5
 
     def test_sidecar_metadata_loaded(self, tmp_path):
         path = tmp_path / "rec.csv"
@@ -141,73 +132,10 @@ class TestLoadRecording:
         assert dataio.load_recording(path).fs == dataio.DEFAULT_FS == 1000.0
         assert dataio.load_recording(path, fs=500.0).fs == 500.0
 
-    def test_separate_files_reject_a_row_dropped_from_one(self, tmp_path):
-        emg_path = tmp_path / "emg.csv"
-        imu_path = tmp_path / "imu.csv"
-        write_csv(emg_path, ["emg"], [[v] for v in [0, 1, 2, "nan", 4, 5, 6]])
-        write_csv(imu_path, ["ax", "ay", "az", "gx", "gy", "gz"], [[t] * 6 for t in range(7)])
-        with pytest.raises(SchemaError, match=r"emg\.csv: data row 3 \(line 5\)"):
-            dataio.load_recording(emg_path, imu_path=imu_path)
-
-    def test_separate_files_drop_a_row_dropped_from_both(self, tmp_path):
-        emg_path = tmp_path / "emg.csv"
-        imu_path = tmp_path / "imu.csv"
-        write_csv(emg_path, ["emg"], [[v] for v in [0, 1, 2, "nan", 4, 5, 6]])
-        imu_rows = [[t] * 6 for t in range(7)]
-        imu_rows[3][4] = "inf"
-        write_csv(imu_path, ["ax", "ay", "az", "gx", "gy", "gz"], imu_rows)
-        rec = dataio.load_recording(emg_path, imu_path=imu_path)
-        assert rec.emg.samples.tolist() == [0, 1, 2, 4, 5, 6]
-        assert rec.accel_x.samples.tolist() == [0, 1, 2, 4, 5, 6]
-
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        data=st.data(),
-        n_emg=st.integers(1, 30),
-        n_imu=st.integers(1, 30),
-        bad=st.sampled_from(["nan", "-inf", "", "abc"]),
-    )
-    def test_separate_files_align_or_name_the_lone_row(
-        self, tmp_path_factory, data, n_emg, n_imu, bad
-    ):
-        """Either the rows both files keep, aligned, or a SchemaError naming
-        the first row dropped from one file only."""
-        emg_bad = data.draw(st.sets(st.integers(0, n_emg - 1)))
-        imu_bad = data.draw(st.sets(st.integers(0, n_imu - 1)))
-        tmp = tmp_path_factory.getbasetemp()
-        emg_path, imu_path = tmp / "emg.csv", tmp / "imu.csv"
-        write_csv(emg_path, ["emg"], [[bad if t in emg_bad else t] for t in range(n_emg)])
-        imu_rows = [[10 * t + c for c in range(6)] for t in range(n_imu)]
-        for t in imu_bad:
-            imu_rows[t][data.draw(st.integers(0, 5))] = bad
-        write_csv(imu_path, ["ax", "ay", "az", "gx", "gy", "gz"], imu_rows)
-
-        emg_kept = [t for t in range(n_emg) if t not in emg_bad]
-        imu_kept = [t for t in range(n_imu) if t not in imu_bad]
-        if not emg_kept or not imu_kept:
-            with pytest.raises(EmptyFileError):
-                dataio.load_recording(emg_path, imu_path=imu_path)
-            return
-        # A drop past the end of the shorter file shifts nothing.
-        lone = {t for t in emg_bad ^ imu_bad if t < min(n_emg, n_imu)}
-        if lone:
-            row = min(lone)
-            path = emg_path if row in emg_bad else imu_path
-            with pytest.raises(SchemaError, match=rf"{path.name}: data row {row} \(line {row + 2}\)"):
-                dataio.load_recording(emg_path, imu_path=imu_path)
-            return
-        n = min(len(emg_kept), len(imu_kept))
-        rec = dataio.load_recording(emg_path, imu_path=imu_path)
-        assert rec.emg.samples.tolist() == emg_kept[:n]
-        for c, ch in enumerate(dataio.IMU_CHANNELS):
-            assert getattr(rec, ch).samples.tolist() == [10 * t + c for t in imu_kept[:n]]
-
-
 def reference_read_columns(path, wanted):
-    """Row by row: every line after the header is a data row, kept when it is
-    neither blank nor a comment and every wanted value parses with float() and
-    is finite. Returns the columns and (data row, line) drops."""
+    """Row by row: a line after the header is kept when it is neither blank
+    nor a comment and every wanted value parses with float() and is finite.
+    Returns the kept columns."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for row in reader:
@@ -216,22 +144,17 @@ def reference_read_columns(path, wanted):
                 break
         indices = {ch: header.index(col) for ch, col in wanted.items()}
         values = {ch: [] for ch in wanted}
-        dropped = []
-        n = 0
         for row in reader:
+            if not row or row[0].lstrip().startswith("#"):
+                continue
             try:
-                if not row or row[0].lstrip().startswith("#"):
-                    raise ValueError("blank or comment line")
                 parsed = {ch: float(row[i]) for ch, i in indices.items()}
             except (IndexError, ValueError):
-                parsed = None
-            if parsed is None or not all(math.isfinite(v) for v in parsed.values()):
-                dropped.append((n, reader.line_num))
-            else:
+                continue
+            if all(math.isfinite(v) for v in parsed.values()):
                 for ch, v in parsed.items():
                     values[ch].append(v)
-            n += 1
-    return values, dropped
+    return values
 
 
 _HEADER = ["emg", "ax", "ay", "az", "gx", "gy", "gz"]
@@ -294,14 +217,14 @@ class TestColumnarCsv:
     def test_matches_row_by_row_reference(self, tmp_path_factory, lines, wanted, block):
         path = tmp_path_factory.getbasetemp() / "fuzzed.csv"
         path.write_text("\n".join([",".join(_HEADER), *lines]) + "\n", encoding="utf-8")
-        values, dropped = reference_read_columns(path, wanted)
+        values = reference_read_columns(path, wanted)
         with mock.patch.object(dataio, "_CSV_BLOCK", block):
             if not values["emg" if "emg" in wanted else "accel_x"]:
                 with pytest.raises(EmptyFileError):
                     dataio._read_columns(path, wanted)
                 return
-            columns, got_dropped = dataio._read_columns(path, wanted)
-        assert got_dropped == dropped
+            columns = dataio._read_columns(path, wanted)
+        assert columns.keys() == values.keys()
         for ch, v in values.items():
             assert columns[ch].dtype == np.float64
             assert columns[ch].tobytes() == np.array(v, dtype=np.float64).tobytes()
@@ -318,7 +241,7 @@ class TestColumnarCsv:
         path = tmp_path_factory.getbasetemp() / "clean.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
-        values, dropped = reference_read_columns(path, wanted)
+        values = reference_read_columns(path, wanted)
         for parser in ("c", "block"):
             with mock.patch.object(
                 dataio, "_parse_in_c", dataio._parse_in_c if parser == "c" else lambda *a: None
@@ -327,8 +250,8 @@ class TestColumnarCsv:
                     with pytest.raises(EmptyFileError):
                         dataio._read_columns(path, wanted)
                     continue
-                columns, got_dropped = dataio._read_columns(path, wanted)
-            assert got_dropped == dropped, parser
+                columns = dataio._read_columns(path, wanted)
+            assert columns.keys() == values.keys(), parser
             for ch, v in values.items():
                 assert columns[ch].tobytes() == np.array(v, dtype=np.float64).tobytes(), parser
 
@@ -346,17 +269,17 @@ class TestColumnarCsv:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(_HEADER) + "\n" + body)
         wanted = {"accel_x": "ax", "gyro_z": "gz"}
-        values, dropped = reference_read_columns(path, wanted)
-        columns, got_dropped = dataio._read_columns(path, wanted)
-        assert got_dropped == dropped != []
+        values = reference_read_columns(path, wanted)
+        with mock.patch.object(dataio, "_parse_block", wraps=dataio._parse_block) as block:
+            columns = dataio._read_columns(path, wanted)
+        assert block.called
         assert {ch: v.tolist() for ch, v in columns.items()} == values
 
     def test_quoted_comma_in_an_unused_column_splits_as_csv(self, tmp_path):
         # A plain split on "," would read gz as 6.0 here.
         path = tmp_path / "quoted.csv"
         path.write_text(",".join(_HEADER) + '\n0,1,"2,3",4,5,6,7\n')
-        columns, dropped = dataio._read_columns(path, {"accel_x": "ax", "gyro_z": "gz"})
-        assert dropped == []
+        columns = dataio._read_columns(path, {"accel_x": "ax", "gyro_z": "gz"})
         assert columns["accel_x"].tolist() == [1.0] and columns["gyro_z"].tolist() == [7.0]
 
     def test_synthetic_recording_takes_the_c_parser(self, tmp_path):
@@ -364,8 +287,7 @@ class TestColumnarCsv:
         path = tmp_path / "raw.csv"
         dataio.write_raw_recording(rec, path)
         with mock.patch.object(dataio, "_parse_block", side_effect=AssertionError("block parser ran")):
-            columns, dropped = dataio._read_columns(path, dataio.DEFAULT_SCHEMA)
-        assert dropped == []
+            columns = dataio._read_columns(path, dataio.DEFAULT_SCHEMA)
         for ch in dataio.CHANNELS:
             assert columns[ch].tobytes() == getattr(rec, ch).samples.tobytes()
 

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -308,3 +311,24 @@ class TestReport:
         assert len(lines) == 1 + len(report.rows) + 3
         stats = {row.split(",")[0] for row in lines[-3:]}
         assert stats == {"best", "worst", "average"}
+
+    def test_csv_bytes_match_csv_writer(self, tmp_path):
+        """The report's bytes are those of a csv.writer with "%.17g" values,
+        ids that need quoting included."""
+        rows = [
+            metrics.SegmentMetrics('a,"b"', 0.1, 1e-7, -0.5, 1.0),
+            metrics.SegmentMetrics("plain", 3e20, 0.0, float("nan"), 2.0 / 3.0),
+        ]
+        report = metrics.MetricsReport(tuple(rows))
+        path = tmp_path / "report.csv"
+        report.to_csv(path)
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        names = metrics.METRIC_NAMES
+        writer.writerow(["segment_id", *names])
+        agg = report.aggregate()
+        for r in rows:
+            writer.writerow([r.segment_id] + [f"{getattr(r, m):.17g}" for m in names])
+        for stat in ("best", "worst", "average"):
+            writer.writerow([stat] + [f"{agg[m][stat]:.17g}" for m in names])
+        assert path.read_bytes() == expected.getvalue().encode()

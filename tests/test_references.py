@@ -1,9 +1,10 @@
 """Every top-level function and class in the package is used by the package
-or by the benchmark harness; code that only tests call is not kept. The
-package raises its invariants as exceptions and holds no `assert`, which
-`python -O` strips."""
+or by the benchmark harness, and so is every defaulted parameter of its
+functions; code that only tests call is not kept. The package raises its
+invariants as exceptions and holds no `assert`, which `python -O` strips."""
 
 import ast
+import collections
 import importlib
 from pathlib import Path
 
@@ -87,6 +88,62 @@ def test_every_top_level_definition_is_used_outside_tests():
         and f"{module}.{node.name}" not in refs
     }
     assert unused == TEST_ONLY
+
+
+def _defaulted_parameters(tree):
+    """(call name, parameter, position) for each defaulted parameter of a
+    module's functions and methods. A call reaches a function or method by
+    its name and an `__init__` by its class's name; a method's positions
+    count from the argument after self or cls. A keyword-only parameter has
+    position None."""
+    for node in tree.body:
+        methods = node.body if isinstance(node, ast.ClassDef) else [node]
+        for fn in methods:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            name = node.name if fn.name == "__init__" else fn.name
+            bound = fn is not node and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list
+            )
+            positional = fn.args.posonlyargs + fn.args.args
+            for i in range(len(positional) - len(fn.args.defaults), len(positional)):
+                yield name, positional[i].arg, i - bound
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield name, arg.arg, None
+
+
+def _passed_arguments():
+    """For each name called in the package and the benchmark harness, the
+    keywords and positions its calls pass, and the set of names some call
+    reaches through *args or **kwargs."""
+    passed = collections.defaultdict(set)
+    unpacked = set()
+    for directory in (PACKAGE, ROOT / "perfbench"):
+        for _, tree in _trees(directory):
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                    k.arg is None for k in node.keywords
+                ):
+                    unpacked.add(name)
+                passed[name].update(k.arg for k in node.keywords)
+                passed[name].update(range(len(node.args)))
+    return passed, unpacked
+
+
+def test_every_defaulted_parameter_is_passed_outside_tests():
+    passed, unpacked = _passed_arguments()
+    unused = {
+        f"{module}.{name}({param})"
+        for module, tree in _trees(PACKAGE)
+        for name, param, position in _defaulted_parameters(tree)
+        if name not in unpacked and param not in passed[name] and position not in passed[name]
+    }
+    assert unused == set()
 
 
 def test_benchmark_layers_resolve():

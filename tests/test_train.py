@@ -1,3 +1,5 @@
+import csv
+import io
 import sys
 import tracemalloc
 import warnings
@@ -443,6 +445,19 @@ class TestHistoryExport:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "epoch,train_loss,val_loss,seconds"
         assert len(lines) == 3
+
+    def test_csv_bytes_match_csv_writer(self, tmp_path):
+        epochs = [tr.EpochStats(1, 0.1, 1 / 3, 12.3456789), tr.EpochStats(10, 2e-7, 5e16, 0.0)]
+        path = tmp_path / "history.csv"
+        tr.TrainHistory(epochs=epochs).to_csv(path)
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(["epoch", "train_loss", "val_loss", "seconds"])
+        for e in epochs:
+            writer.writerow(
+                [e.epoch, f"{e.train_loss:.17g}", f"{e.val_loss:.17g}", f"{e.seconds:.6f}"]
+            )
+        assert path.read_bytes() == expected.getvalue().encode()
 
     def test_run_metadata_records_choices(self, tmp_path):
         path = tmp_path / "run.json"
