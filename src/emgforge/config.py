@@ -2,8 +2,9 @@
 
 Unknown sections or keys are rejected so typos cannot silently fall back
 to defaults. Every tunable pipeline decision (filter chain and cutoffs,
-envelope cutoff, segmentation parameters, model dimensions, activation,
-training hyperparameters) is a key here. The schema, `snapshot()` and
+envelope cutoff, segmentation parameters, model dimensions, training
+hyperparameters) is a key here. `[model] activation` is a key too, whose
+one accepted value is `gated`. The schema, `snapshot()` and
 `load_run_config` are derived from the dataclass fields: a dataclass field
 of `RunConfig` is a section, any other a `[data]` key, and each key's type
 is that of its default value.

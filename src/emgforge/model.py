@@ -10,7 +10,8 @@ The network has one implementation, on a plan folded from the weights
 (_Plan). Per block it stacks the input's taps, takes one product and the
 activation, and adds the residual; the skips, context conv and head are
 linear, so one tail product and w shifted adds give the output. There is
-one output channel, the only count ModelConfig accepts. The batch pass
+one output channel and one block nonlinearity, WaveNet's gated unit
+tanh(a) * sigmoid(b), the only choices ModelConfig accepts. The batch pass
 forward() runs the plan over a whole [in_channels x T] input as one
 recorded autodiff op returning [1 x T], whose backward is derived by hand
 on the plan. The block path runs the same code on chunks of a stream, with
@@ -46,9 +47,6 @@ from .tensor import (
     stack_taps,
 )
 
-ACTIVATIONS = ("gated", "relu")
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     """Hyperparameters of the network; dilation of block i is 2**i."""
@@ -73,8 +71,8 @@ class ModelConfig:
             raise ConfigError("channel counts must be >= 1")
         if self.out_channels != 1:  # the network predicts one EMG envelope
             raise ConfigError(f"out_channels must be 1, got {self.out_channels}")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
+        if self.activation != "gated":  # WaveNet's tanh(a) * sigmoid(b) block unit
+            raise ConfigError(f"activation must be 'gated', got {self.activation!r}")
 
 
 class ReceptiveField(NamedTuple):
@@ -180,10 +178,9 @@ class ModelWeights:
 def _kernel_layout(config: ModelConfig):
     """(name, [C_out, C_in, k], dilation) of every kernel, in checkpoint order."""
     c, c_skip = config.residual_channels, config.skip_channels
-    gate_mult = 2 if config.activation == "gated" else 1
     yield "input_proj", (c, config.in_channels, 1), 1
     for i in range(config.num_blocks):  # lazily: a corrupt header may hold any count
-        yield f"block{i}.dilated", (gate_mult * c, c, config.kernel_size), 2**i
+        yield f"block{i}.dilated", (2 * c, c, config.kernel_size), 2**i
         yield f"block{i}.residual", (c, c, 1), 1
         yield f"block{i}.skip", (c_skip, c, 1), 1
     yield "context", (c_skip, c_skip, config.context_window), 1
@@ -231,7 +228,7 @@ class _Plan:
     """The weights folded into the matrices the block kernel runs on.
 
     Each dilated, residual and tail matrix carries its bias as a last
-    column, read against a constant 1. A gated kernel's gate half is
+    column, read against a constant 1. A dilated matrix's gate rows are
     halved, so one tanh gives tanh(b/2) and g = tanh(a) * (1 + tanh(b/2)) / 2;
     the residual and tail weights take the 1/2. The skip 1x1s, the context
     conv and the head are linear: row m of the lag fold [w x S] maps the skip
@@ -245,11 +242,9 @@ class _Plan:
         self.config = config
         k, c, w = config.kernel_size, config.residual_channels, config.context_window
         n_blocks, n_in = config.num_blocks, config.in_channels
-        self.gated = config.activation == "gated"
-        p = 2 * c if self.gated else c  # pre-activation rows of a block
         self.offset, self.scale = np.empty(n_in), np.empty(n_in)
         self.input_w, self.input_b = np.empty((c, n_in)), np.empty(c)
-        self.dilated = np.empty((n_blocks, p, c * k + 1))
+        self.dilated = np.empty((n_blocks, 2 * c, c * k + 1))
         self.residual = np.empty((n_blocks - 1, c, c + 1))  # the last block's is never read
         self.skips = np.empty((config.skip_channels, n_blocks, c + 1))
         self.fold = np.empty((w, config.skip_channels))
@@ -262,20 +257,19 @@ class _Plan:
         for have, want in itertools.zip_longest(kernels, _kernel_layout(cfg)):
             if have != want:  # (name, shape, dilation) of a kernel, or None for a missing one
                 raise ShapeError(f"kernel {have} does not fit the model's layout: {want} expected")
-        c, p = self.config.residual_channels, self.dilated.shape[1]
-        half = 0.5 if self.gated else 1.0  # g = half * g'
+        c = self.config.residual_channels
         self.offset[:], self.scale[:] = weights.input_offset, weights.input_scale
         self.input_w[:] = weights.input_proj.weights[:, :, 0]
         self.input_b[:] = weights.input_proj.bias
         for i, blk in enumerate(weights.blocks):
             dilated = self.dilated[i]
-            dilated[:, :-1] = blk.dilated.weights.reshape(p, -1)
+            dilated[:, :-1] = blk.dilated.weights.reshape(2 * c, -1)
             dilated[:, -1] = blk.dilated.bias
-            dilated[c:] *= half
+            dilated[c:] *= 0.5
             if i < len(self.residual):
-                np.multiply(blk.residual.weights[:, :, 0], half, out=self.residual[i, :, :c])
+                np.multiply(blk.residual.weights[:, :, 0], 0.5, out=self.residual[i, :, :c])
                 self.residual[i, :, c] = blk.residual.bias
-            np.multiply(blk.skip.weights[:, :, 0], half, out=self.skips[:, i, :c])
+            np.multiply(blk.skip.weights[:, :, 0], 0.5, out=self.skips[:, i, :c])
             self.skips[:, i, c] = blk.skip.bias
         # fold[m] = head . (context tap w-1-m), the skip sum at t - m to the output at t.
         head = weights.output_proj.weights[0, :, 0]
@@ -295,17 +289,14 @@ def _project_input(plan: _Plan, x: np.ndarray, z: np.ndarray) -> None:
 def _block_gates(plan: _Plan, i: int, z, stacked, pre, g1, context=None) -> None:
     """Block i on its input z ([C x n]): its taps stacked into `stacked`
     (zeros before z, or `context`), whose last row holds ones, one product
-    with its dilated matrix into `pre`, and the activation into g1's first C
-    rows. A gated block leaves [tanh a; 1 + tanh(b/2)] in `pre`."""
+    with its dilated matrix into `pre`, and the gated unit into g1's first C
+    rows. It leaves [tanh a; 1 + tanh(b/2)] in `pre`."""
     c, k = plan.config.residual_channels, plan.config.kernel_size
     stack_taps(z, k, 2**i, stacked[:-1], context)
     np.matmul(plan.dilated[i], stacked, out=pre)
-    if plan.gated:
-        np.tanh(pre, out=pre)
-        pre[c:] += 1.0
-        np.multiply(pre[:c], pre[c:], out=g1[:c])
-    else:
-        np.maximum(pre, 0.0, out=g1[:c])
+    np.tanh(pre, out=pre)
+    pre[c:] += 1.0
+    np.multiply(pre[:c], pre[c:], out=g1[:c])
 
 
 def _shifted_sum(contributions: np.ndarray, sums: np.ndarray) -> None:
@@ -340,7 +331,7 @@ def forward(weights: ModelWeights, x) -> Tensor:
     keep = grad_enabled()  # only a recorded op keeps what its backward reads
     zs, pres = [], []
     for i in range(n_blocks):
-        pre = np.empty((plan.dilated.shape[1], t_len))
+        pre = np.empty((2 * c, t_len))
         g1 = gates[i * (c + 1) : (i + 1) * (c + 1)]
         _block_gates(plan, i, z, stacked, pre, g1)
         if keep:
@@ -364,8 +355,6 @@ def _forward_backward(plan: _Plan, x: Tensor, zs, pres, gates, gy: np.ndarray) -
     weights, cfg = plan.source, plan.config
     c, k, w = cfg.residual_channels, cfg.kernel_size, cfg.context_window
     gy, t_len = gy[0], gy.shape[1]
-    half = 0.5 if plan.gated else 1.0
-    p = plan.dilated.shape[1]
 
     # Contribution m of column t reaches output t + m: lags[m, t] = gy[t + m].
     lags = np.zeros((w, t_len))
@@ -382,40 +371,38 @@ def _forward_backward(plan: _Plan, x: Tensor, zs, pres, gates, gy: np.ndarray) -
     accumulate_kernel(weights.output_proj, d_head[None, :, None], gy_sum)
 
     dz = np.zeros((c, t_len))  # block i's input gradient, built on block i+1's
-    d_pre, grad_taps = np.empty((p, t_len)), np.empty((k * c, t_len))
+    d_pre, grad_taps = np.empty((2 * c, t_len)), np.empty((k * c, t_len))
     for i in range(cfg.num_blocks - 1, -1, -1):
         blk, z, pre = weights.blocks[i], zs.pop(), pres.pop()  # freed after this block
         rows = slice(i * (c + 1), (i + 1) * (c + 1))
         g1 = gates[rows]
-        accumulate_kernel(blk.skip, (d_skips[:, i, :c] * half)[:, :, None], d_skips[:, i, c])
+        accumulate_kernel(blk.skip, (d_skips[:, i, :c] * 0.5)[:, :, None], d_skips[:, i, c])
         dg = plan.tail[:, rows][:, :c].T @ lags
         if i < len(plan.residual):  # z_{i+1} = z_i + residual_i @ g1
             d_res = dz @ g1.T
-            accumulate_kernel(blk.residual, (d_res[:, :c] * half)[:, :, None], d_res[:, c])
+            accumulate_kernel(blk.residual, (d_res[:, :c] * 0.5)[:, :, None], d_res[:, c])
             dg += plan.residual[i, :, :c].T @ dz
-        if plan.gated:  # pre holds [tanh a; q], q = 1 + tanh(b/2), and g' = tanh a * q
-            th, q, top, bottom = pre[:c], pre[c:], d_pre[:c], d_pre[c:]
-            np.square(th, out=top)  # dg' * q * (1 - tanh(a)^2)
-            np.subtract(1.0, top, out=top)
-            top *= q
-            top *= dg
-            np.subtract(2.0, q, out=bottom)  # dg' * tanh a * (1 - tanh(b/2)^2), = q (2 - q)
-            bottom *= q
-            bottom *= th
-            bottom *= dg
-        else:
-            np.multiply(dg, g1[:c] > 0.0, out=d_pre)
+        # pre holds [tanh a; q], q = 1 + tanh(b/2), and g' = tanh a * q.
+        th, q, top, bottom = pre[:c], pre[c:], d_pre[:c], d_pre[c:]
+        np.square(th, out=top)  # dg' * q * (1 - tanh(a)^2)
+        np.subtract(1.0, top, out=top)
+        top *= q
+        top *= dg
+        np.subtract(2.0, q, out=bottom)  # dg' * tanh a * (1 - tanh(b/2)^2), = q (2 - q)
+        bottom *= q
+        bottom *= th
+        bottom *= dg
         # The dilated conv: its weights' gradient tap by tap from z, and z's
         # from one tap-major product whose delayed taps are added back shifted.
         lag_of = [(j, (k - 1 - j) * 2**i) for j in range(k) if (k - 1 - j) * 2**i < t_len]
-        grad_w = np.zeros((p, c, k))
+        grad_w = np.zeros((2 * c, c, k))
         for j, lag in lag_of:
             grad_w[:, :, j] = d_pre[:, lag:] @ z[:, : t_len - lag].T
         grad_b = d_pre.sum(axis=1)
-        grad_w[c:] *= half
-        grad_b[c:] *= half
+        grad_w[c:] *= 0.5
+        grad_b[c:] *= 0.5
         accumulate_kernel(blk.dilated, grad_w, grad_b)
-        taps = plan.dilated[i, :, :-1].reshape(p, c, k).transpose(2, 1, 0).reshape(k * c, p)
+        taps = plan.dilated[i, :, :-1].reshape(-1, c, k).transpose(2, 1, 0).reshape(k * c, -1)
         np.matmul(taps, d_pre, out=grad_taps)
         for j, lag in lag_of:
             dz[:, : t_len - lag] += grad_taps[j * c : (j + 1) * c, lag:]
@@ -444,7 +431,7 @@ class StreamState(_Plan):
     the segment before, so the plan folds the residual 1x1 (or the input
     normalizer and projection), the dilated conv's current tap, its history
     taps and the biases into one transition matrix per block: a block is one
-    product and its activation, in place. A gated block stores a_i =
+    product and its gated unit, in place. Block i stores a_i =
     [tanh a; tanh a * tanh(b/2)], whose residual and tail columns repeat, so
     it needs no "+1". One product of the step tail with the segments then
     adds the step's gates to the future predictions.
@@ -465,7 +452,7 @@ class StreamState(_Plan):
     def __init__(self, config: ModelConfig):
         k, c, w = config.kernel_size, config.residual_channels, config.context_window
         n_blocks, n_in = config.num_blocks, config.in_channels
-        p = 2 * c if config.activation == "gated" else c
+        p = 2 * c  # a block's pre-activation rows
         h = (k - 1) * c  # history taps of a block, tap j of channel i at i*(k-1) + j
         self.span = (k - 1) * 2 ** (n_blocks - 1)
         self.tape = np.zeros((2 * self.span, n_blocks, c))
@@ -527,7 +514,6 @@ class StreamState(_Plan):
         """Fold the plan into the step's transitions and tail, on the first
         step after a build; the block path does not read them."""
         c, k = self.config.residual_channels, self.config.kernel_size
-        p = self.dilated.shape[1]
         # The step's transitions. Their top rows give z_i from the segment
         # before, less its taps: the input normalizer and projection for
         # block 0, else z_{i-1} plus block i-1's residual 1x1. The other rows
@@ -537,10 +523,10 @@ class StreamState(_Plan):
         first[:c, len(self.scale)] = self.input_b - self.input_w @ (self.offset * self.scale)
         for i, trans in enumerate(self.transitions):
             src = trans.shape[1] - (k - 1) * c
-            if i:  # a gated block's tanh a and tanh a * tanh(b/2) take the same weights
-                trans[:c, c : c + p] = np.tile(self.residual[i - 1, :, :c], p // c)
-                trans[:c, c + p] = self.residual[i - 1, :, c]
-            kernel = self.dilated[i, :, :-1].reshape(p, c, k)
+            if i:  # tanh a and tanh a * tanh(b/2) take the same weights
+                trans[:c, c : 3 * c] = np.tile(self.residual[i - 1, :, :c], 2)
+                trans[:c, 3 * c] = self.residual[i - 1, :, c]
+            kernel = self.dilated[i, :, :-1].reshape(2 * c, c, k)
             np.matmul(kernel[:, :, -1], trans[:c, :src], out=trans[c:, :src])
             trans[c:, src - 1] += self.dilated[i, :, -1]
             for j in range(k - 1):
@@ -548,8 +534,8 @@ class StreamState(_Plan):
         width = self.transitions[-1].shape[1]
         for i in range(self.config.num_blocks):
             g1 = self.tail[:, i * (c + 1) : (i + 1) * (c + 1)]
-            self.step_tail[:, i * width : i * width + p] = np.tile(g1[:, :c], p // c)
-            self.step_tail[:, i * width + p] = g1[:, c]
+            self.step_tail[:, i * width : i * width + 2 * c] = np.tile(g1[:, :c], 2)
+            self.step_tail[:, i * width + 2 * c] = g1[:, c]
         self.folded = True
 
 
@@ -621,21 +607,16 @@ def forward_streaming(weights: ModelWeights, state: StreamState, sample):
 
 
 def _forward_step(state: StreamState, v: np.ndarray) -> float:
-    """One sample's prediction: gather the taps, one product and activation
+    """One sample's prediction: gather the taps, one product and gated unit
     per block, one tail product into the future predictions."""
     state._make_room(1)
     cursor, row = state.cursor, state.z_view.size
     state.vec[: v.size] = v
     state.taps[...] = state.tape_flat[(cursor - state.span) * row : cursor * row][state.tap_index]
-    if state.gated:
-        for trans, src, out, act, tanh_a, tanh_b in state.steps:
-            np.dot(trans, src, out=out)
-            np.tanh(act, out=act)
-            np.multiply(tanh_a, tanh_b, out=tanh_b)
-    else:
-        for trans, src, out, act, _, _ in state.steps:
-            np.dot(trans, src, out=out)
-            np.maximum(act, 0.0, out=act)
+    for trans, src, out, act, tanh_a, tanh_b in state.steps:
+        np.dot(trans, src, out=out)
+        np.tanh(act, out=act)
+        np.multiply(tanh_a, tanh_b, out=tanh_b)
     state.tape[cursor] = state.z_view
     state.cursor = cursor + 1
 

@@ -365,15 +365,11 @@ class AdamState:
     v: dict = field(default_factory=dict)
 
 
-def adam_step(
-    params: dict,
-    grads: dict,
-    state: AdamState | None,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> AdamState:
+# Adam's moment decays and denominator offset (Kingma & Ba, 2015).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+def adam_step(params: dict, grads: dict, state: AdamState | None, lr: float) -> AdamState:
     """One Adam update with bias correction; parameters updated in place."""
     if state is None:
         state = AdamState()
@@ -391,13 +387,13 @@ def adam_step(
             state.v[name] = np.zeros_like(p)
         m = state.m[name]
         v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return state
 
 

@@ -247,7 +247,6 @@ def train(
     adam_state = None
     stopper = EarlyStopper(cfg.patience, cfg.improvement_tolerance)
     history = TrainHistory()
-    best_arrays = None
     # Windows run on pool threads even with one worker, so that every worker
     # count takes the same path.
     n_workers = window_workers(cfg.batch_size)[0]
@@ -296,9 +295,9 @@ def train(
             if stopper.should_stop:
                 break
 
-    if best_arrays is not None:
-        for name, arr in params.items():
-            arr[:] = best_arrays[name]
+    # Epoch 1's update always improves, so the best epoch's arrays are set.
+    for name, arr in params.items():
+        arr[:] = best_arrays[name]
     return weights, history
 
 

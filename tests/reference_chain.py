@@ -55,13 +55,12 @@ def unfused_readout(gates, skips, context, head):
 
 def unfused_forward(weights, x: Tensor) -> Tensor:
     """model.forward(weights, x) as one op per layer: the normalizer, the
-    input projection, per block the dilated conv, its activation and the
+    input projection, per block the dilated conv, its gated unit and the
     residual conv and add, then the readout."""
-    activate = gated_activation if weights.config.activation == "gated" else relu
     z = conv1d_causal(normalize(x, weights.input_offset, weights.input_scale), weights.input_proj)
     gates = []
     for blk in weights.blocks:
-        gates.append(activate(conv1d_causal(z, blk.dilated)))
+        gates.append(gated_activation(conv1d_causal(z, blk.dilated)))
         if blk is not weights.blocks[-1]:  # the last block's residual output is never read
             z = add(z, conv1d_causal(gates[-1], blk.residual))
     skips = [blk.skip for blk in weights.blocks]

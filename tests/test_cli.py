@@ -62,7 +62,7 @@ num_blocks = 2
 residual_channels = 5
 skip_channels = 4
 context_window = 3
-activation = relu
+activation = gated
 
 [train]
 learning_rate = 0.002
@@ -85,7 +85,7 @@ EVERY_SECTION_RUN_JSON = """{
   "filter.order": 2,
   "filter.stages": "bandpass,highpass,bandstop",
   "filter_passes": "single_causal",
-  "model.activation": "relu",
+  "model.activation": "gated",
   "model.context_window": 3,
   "model.kernel_size": 2,
   "model.num_blocks": 2,
@@ -603,6 +603,28 @@ class TestTrainEvalBench:
         assert err.count("out_channels must be 1") == 2
         assert not report.exists()
 
+    def test_relu_activation_rejected(self, data_dir, run_dir, tmp_path, capsys):
+        """The gated unit is the only block nonlinearity: an INI or a
+        checkpoint header naming relu exits 2 before any file is written."""
+        config = tmp_path / "relu.ini"
+        config.write_text(TINY_CONFIG.replace("[model]\n", "[model]\nactivation = relu\n"))
+        out, report = tmp_path / "m.ckpt", tmp_path / "r.csv"
+        ckpt = ["--ckpt", str(run_dir / "model.ckpt"), "--report", str(report)]
+        for args in (["train", "--out", str(out)], ["eval", *ckpt]):
+            rc = cli.main([*args, "--data", str(data_dir), "--config", str(config)])
+            assert rc == cli.EXIT_USAGE
+        blob = (run_dir / "model.ckpt").read_bytes()
+        n = int.from_bytes(blob[8:12], "little")  # the header's length
+        header = blob[12 : 12 + n].replace(b"config.activation=gated", b"config.activation=relu")
+        relu = tmp_path / "relu.ckpt"
+        relu.write_bytes(blob[:8] + len(header).to_bytes(4, "little") + header + blob[12 + n :])
+        args = ["--data", str(data_dir), "--ckpt", str(relu), "--report", str(report)]
+        assert cli.main(["eval", *args]) == cli.EXIT_USAGE
+        assert cli.main(["stream-bench", "--ckpt", str(relu), "--seconds", "0.05"]) == cli.EXIT_USAGE
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 4 and all("activation must be 'gated'" in line for line in lines)
+        assert not list(tmp_path.glob("m.ckpt*")) and not list(tmp_path.glob("r.*"))
+
     def test_eval_rejects_shared_segment_ids(self, data_dir, run_dir, tmp_path, capsys):
         """Recordings without sidecars all give unknown_unknown_day0_repNN ids,
         so their prediction files would overwrite each other."""
@@ -673,13 +695,14 @@ class TestRunConfig:
         path = tmp_path / "ok.ini"
         path.write_text(
             "[filter]\nstages = bandpass,bandstop\nhighpass_hz = 60\n"
-            "[segmentation]\ntop_k = 5\n[model]\nactivation = relu\n"
+            "[segmentation]\ntop_k = 5\n[model]\nactivation = gated\nnum_blocks = 4\n"
         )
         cfg = load_run_config(path)
         assert cfg.filter.stages == ("bandpass", "bandstop")
         assert cfg.filter.highpass_hz == 60.0
         assert cfg.segmentation.top_k == 5
-        assert cfg.model.activation == "relu"
+        assert cfg.model.activation == "gated"
+        assert cfg.model.num_blocks == 4
 
     def test_run_config_filter_drives_segmentation(self, data_dir):
         cfg = RunConfig(filter=FilterChainConfig(highpass_hz=60.0))

@@ -115,10 +115,9 @@ def _defaulted_parameters(tree):
 
 def _passed_arguments():
     """For each name called in the package and the benchmark harness, the
-    keywords and positions its calls pass, and the set of names some call
-    reaches through *args or **kwargs."""
+    keywords and positions its calls pass. What a call passes through *args
+    or **kwargs counts for no parameter."""
     passed = collections.defaultdict(set)
-    unpacked = set()
     for directory in (PACKAGE, ROOT / "perfbench"):
         for _, tree in _trees(directory):
             for node in ast.walk(tree):
@@ -126,22 +125,19 @@ def _passed_arguments():
                     continue
                 func = node.func
                 name = getattr(func, "id", None) or getattr(func, "attr", None)
-                if any(isinstance(a, ast.Starred) for a in node.args) or any(
-                    k.arg is None for k in node.keywords
-                ):
-                    unpacked.add(name)
-                passed[name].update(k.arg for k in node.keywords)
-                passed[name].update(range(len(node.args)))
-    return passed, unpacked
+                passed[name].update(k.arg for k in node.keywords if k.arg is not None)
+                starred = [i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)]
+                passed[name].update(range(starred[0] if starred else len(node.args)))
+    return passed
 
 
 def test_every_defaulted_parameter_is_passed_outside_tests():
-    passed, unpacked = _passed_arguments()
+    passed = _passed_arguments()
     unused = {
         f"{module}.{name}({param})"
         for module, tree in _trees(PACKAGE)
         for name, param, position in _defaulted_parameters(tree)
-        if name not in unpacked and param not in passed[name] and position not in passed[name]
+        if param not in passed[name] and position not in passed[name]
     }
     assert unused == set()
 
