@@ -15,6 +15,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -53,22 +54,27 @@ def _flat_keys(obj, prefix: str) -> dict:
     return out
 
 
-def _replace_from_keys(obj, keys: dict, prefix: str):
-    """The inverse of `_flat_keys`: a copy of `obj` with the values found in `keys`."""
+def _replace_from_keys(obj, keys: dict, prefix: str, source):
+    """The inverse of `_flat_keys`: a copy of `obj` with the values found in
+    `keys`. A value the copy rejects raises a ConfigError naming `source`, the
+    file the values came from, and the section."""
     changes = {}
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
         band = _band_keys(f.name, value)
         key = prefix + f.name
         if dataclasses.is_dataclass(value):
-            changes[f.name] = _replace_from_keys(value, keys, f"{f.name}.")
+            changes[f.name] = _replace_from_keys(value, keys, f"{f.name}.", source)
         elif band:
             changes[f.name] = tuple(keys.get(prefix + k, v) for k, v in zip(band, value))
         elif key in keys and isinstance(value, tuple):
             changes[f.name] = tuple(s.strip() for s in keys[key].split(","))
         elif key in keys:
             changes[f.name] = keys[key]
-    return dataclasses.replace(obj, **changes)
+    try:
+        return dataclasses.replace(obj, **changes)
+    except ConfigError as exc:
+        raise ConfigError(f"{source} [{prefix[:-1]}]: {exc}") from exc
 
 
 @dataclass
@@ -78,6 +84,10 @@ class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     fs: float = 1000.0
+
+    def __post_init__(self):
+        if not 0 < self.fs < math.inf:
+            raise ConfigError(f"sample rate must be finite and positive, got {self.fs}")
 
     def snapshot(self) -> dict:
         """Flat key/value view for run metadata."""
@@ -110,7 +120,7 @@ def load_run_config(path) -> RunConfig:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}] of {path}")
             values[f"{section}.{key}"] = _cast(section, key, raw, path)
-    return _replace_from_keys(RunConfig(), values, "data.")
+    return _replace_from_keys(RunConfig(), values, "data.", path)
 
 
 def _cast(section: str, key: str, raw, source):
@@ -161,7 +171,7 @@ def segmenting_config(cfg: RunConfig, run_json, explicit: bool) -> RunConfig:
         if section in _SEGMENTING_SECTIONS and key in _SCHEMA[section]:
             recorded[name] = _cast_json(section, key, value, run_json)
     if not explicit:
-        return _replace_from_keys(cfg, recorded, "data.")
+        return _replace_from_keys(cfg, recorded, "data.", run_json)
     current = cfg.snapshot()
     for name in sorted(recorded):
         if current[name] != recorded[name]:

@@ -532,6 +532,9 @@ class SegmentationParams:
     top_k: int = 7
     envelope_lp_hz: float = 6.0
 
+    def __post_init__(self):
+        dsp.check_peak_spacing(self.min_distance, self.top_k)
+
 
 def build_segments(
     rec: RawRecording,

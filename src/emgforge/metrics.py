@@ -1,7 +1,7 @@
 """Evaluation metrics: MSE, MAE, time-domain cosine, FFT cosine.
 
-The FFT is an in-house iterative radix-2 decimation-in-time transform;
-inputs are zero-padded to the next power of two. The spectral similarity
+The spectra come from numpy's FFT (`np.fft.fft`); inputs are
+zero-padded to the next power of two. The spectral similarity
 compares magnitude spectra over the non-redundant bins [0, n/2], DC
 included by default (envelopes carry a large DC term; pass
 include_dc=False to drop it).
@@ -33,46 +33,13 @@ class Spectrum:
     n: int
 
 
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    """Bit-reversal permutation of range(n), one array operation per bit."""
-    bits = n.bit_length() - 1
-    idx = np.arange(n, dtype=np.intp)
-    rev = np.zeros(n, dtype=np.intp)
-    for b in range(bits):
-        rev |= ((idx >> b) & 1) << (bits - 1 - b)
-    return rev
-
-
-def _fft_pow2(x: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 DIT FFT; len(x) must be a power of two.
-
-    Each stage runs all its butterflies at once on an [n/m x m] view, so
-    every element sees the same operations as a block-by-block loop.
-    """
-    n = x.size
-    out = np.asarray(x, dtype=np.complex128)[_bit_reverse_indices(n)]
-    m = 2
-    while m <= n:
-        half = m // 2
-        tw = np.exp(-2j * np.pi * np.arange(half) / m)
-        blocks = out.reshape(n // m, m)
-        top = blocks[:, :half].copy()
-        bot = blocks[:, half:] * tw
-        np.add(top, bot, out=blocks[:, :half])
-        np.subtract(top, bot, out=blocks[:, half:])
-        m <<= 1
-    return out
-
-
 def fft(x) -> Spectrum:
     """Forward DFT of a real sequence, zero-padded to the next power of two."""
     arr = np.asarray(x, dtype=np.float64).ravel()
     if arr.size == 0:
         raise EmptyInputError("cannot transform an empty sequence")
     n = next_pow2(arr.size)
-    padded = np.zeros(n, dtype=np.complex128)
-    padded[: arr.size] = arr
-    return Spectrum(_fft_pow2(padded), n)
+    return Spectrum(np.fft.fft(arr, n), n)
 
 
 def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:

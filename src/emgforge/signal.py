@@ -394,6 +394,14 @@ def normalize_envelope(envelope: SampledSignal) -> SampledSignal:
     return SampledSignal(envelope.samples / peak, envelope.fs)
 
 
+def check_peak_spacing(min_distance: int, top_k: int) -> None:
+    """Raise ConfigError unless `min_distance` and `top_k` are both >= 1."""
+    if min_distance < 1:
+        raise ConfigError(f"min_distance must be >= 1, got {min_distance}")
+    if top_k < 1:
+        raise ConfigError(f"top_k must be >= 1, got {top_k}")
+
+
 def detect_peaks(signal: SampledSignal, min_distance: int = 150, top_k: int = 7) -> np.ndarray:
     """Indices of the `top_k` highest local maxima, at least `min_distance` apart.
 
@@ -402,10 +410,7 @@ def detect_peaks(signal: SampledSignal, min_distance: int = 150, top_k: int = 7)
     descending amplitude (ties broken by lower index); the result is sorted
     ascending.
     """
-    if min_distance < 1:
-        raise ConfigError(f"min_distance must be >= 1, got {min_distance}")
-    if top_k < 1:
-        raise ConfigError(f"top_k must be >= 1, got {top_k}")
+    check_peak_spacing(min_distance, top_k)
     x = signal.samples
     if x.size < 3:
         raise TooShortError(f"need at least 3 samples to detect peaks, got {x.size}")

@@ -159,6 +159,51 @@ def test_bad_run_json_exits_2(data, tmp_path, run_json):
     assert_one_error(rc, err, 2, "m.run.json")
 
 
+@pytest.mark.parametrize(
+    "ini, section, message",
+    [
+        (b"[model]\nactivation = relu\n", "[model]", "activation must be 'gated'"),
+        (b"[train]\nmax_epochs = 0\n", "[train]", "max_epochs must be >= 1"),
+        (b"[filter]\nstages = highpass, notch\n", "[filter]", "'notch'"),
+        (b"[segmentation]\nmin_distance = 0\n", "[segmentation]", "min_distance must be >= 1"),
+        (b"[segmentation]\ntop_k = 0\n", "[segmentation]", "top_k must be >= 1"),
+        (b"[data]\nfs = -5\n", "[data]", "sample rate"),
+    ],
+    ids=["activation", "max_epochs", "stage", "min_distance", "top_k", "fs"],
+)
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_rejected_config_value_names_file_and_section(data, tmp_path, ini, section, message,
+                                                      command):
+    config = tmp_path / "bad.ini"
+    config.write_bytes(ini)
+    if command == "train":
+        argv = ["train", "--data", data / "data", "--out", tmp_path / "m.ckpt"]
+    else:
+        argv = ["eval", "--data", data / "data", "--ckpt", data / "run" / "m.ckpt",
+                "--report", tmp_path / "report.csv"]
+    rc, err = run_cli(*argv, "--config", config)
+    assert_one_error(rc, err, 2, f"{config} {section}: ", message)
+    assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize(
+    "change, section, message",
+    [
+        ({"filter.stages": "highpass,notch"}, "[filter]", "'notch'"),
+        ({"segmentation.top_k": 0}, "[segmentation]", "top_k must be >= 1"),
+        ({"data.fs": 0.0}, "[data]", "sample rate"),
+    ],
+    ids=["stage", "top_k", "fs"],
+)
+def test_rejected_run_json_value_names_file_and_section(data, tmp_path, change, section,
+                                                        message):
+    ckpt = checkpoint_copy(data, tmp_path, run_json_with(data, **change))
+    rc, err = run_cli("eval", "--data", data / "data", "--ckpt", ckpt,
+                      "--report", tmp_path / "report.csv")
+    assert_one_error(rc, err, 2, f"{ckpt.with_suffix('.run.json')} {section}: ", message)
+    assert not (tmp_path / "report.csv").exists()
+
+
 def test_run_json_int_for_float_key_accepted(data, tmp_path):
     ckpt = checkpoint_copy(data, tmp_path, run_json_with(data, **{"data.fs": 1000}))
     rc, err = run_cli("eval", "--data", data / "data", "--ckpt", ckpt,

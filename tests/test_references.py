@@ -1,11 +1,13 @@
 """Every top-level function and class in the package is used by the package
 or by the benchmark harness, and so is every defaulted parameter of its
 functions; code that only tests call is not kept. The package raises its
-invariants as exceptions and holds no `assert`, which `python -O` strips."""
+invariants as exceptions and holds no `assert`, which `python -O` strips,
+and imports nothing but the standard library, numpy and itself."""
 
 import ast
 import collections
 import importlib
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -164,3 +166,19 @@ def test_package_holds_no_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    allowed = sys.stdlib_module_names | {"numpy", "emgforge"}
+    found = set()
+    for module, tree in _trees(PACKAGE):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found.update(f"{module}:{name}" for name in names
+                         if name.split(".")[0] not in allowed)
+    assert found == set()
