@@ -245,10 +245,10 @@ def cmd_stream_bench(args) -> None:
     weights = load_weights(args.ckpt)
     cfg = weights.config
 
-    reps = max(1, int(np.ceil(args.seconds / 3.0)))
+    reps = max(1, int(np.ceil(args.seconds / synthgen.REP_PERIOD_S)))
     profile = synthgen.MotionProfile(n_reps=reps)
     rec, _ = synthgen.generate_recording(profile, seed=args.seed)
-    imu = rec.imu_matrix()[:, :n_samples]
+    imu = rec.imu[:, :n_samples]
     n_samples = imu.shape[1]
 
     state = StreamState(cfg)

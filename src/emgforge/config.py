@@ -21,8 +21,8 @@ from pathlib import Path
 
 from .dataio import SegmentationParams, json_is
 from .errors import ConfigError
-from .model import ModelConfig
-from .signal import FilterChainConfig
+from .model import ModelConfig, check_crop_length
+from .signal import ENVELOPE_ORDER, FilterChainConfig, check_butterworth
 from .train import TrainConfig
 
 # Set by the data layout (six IMU channels in, one envelope out), not by the user.
@@ -57,7 +57,7 @@ def _flat_keys(obj, prefix: str) -> dict:
 def _replace_from_keys(obj, keys: dict, prefix: str, source):
     """The inverse of `_flat_keys`: a copy of `obj` with the values found in
     `keys`. A value the copy rejects raises a ConfigError naming `source`, the
-    file the values came from, and the section."""
+    file the values came from, and the section of the value at fault."""
     changes = {}
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
@@ -74,7 +74,7 @@ def _replace_from_keys(obj, keys: dict, prefix: str, source):
     try:
         return dataclasses.replace(obj, **changes)
     except ConfigError as exc:
-        raise ConfigError(f"{source} [{prefix[:-1]}]: {exc}") from exc
+        raise ConfigError(f"{source} [{exc.section or prefix[:-1]}]: {exc}") from exc
 
 
 @dataclass
@@ -86,8 +86,20 @@ class RunConfig:
     fs: float = 1000.0
 
     def __post_init__(self):
+        """Check here, before any recording is read, what holds only at `fs` or for the model."""
         if not 0 < self.fs < math.inf:
             raise ConfigError(f"sample rate must be finite and positive, got {self.fs}")
+        chain, lp_hz, fs = self.filter, self.segmentation.envelope_lp_hz, self.fs
+        checks = [("filter", check_butterworth, stage, chain.order, chain.cutoffs(stage), fs)
+                  for stage in chain.stages]
+        checks.append(("segmentation", check_butterworth, "lowpass", ENVELOPE_ORDER, lp_hz, fs))
+        checks.append(("train", check_crop_length, self.train.crop_length, self.model))
+        for section, check, *args in checks:
+            try:
+                check(*args)
+            except ConfigError as exc:
+                exc.section = section
+                raise
 
     def snapshot(self) -> dict:
         """Flat key/value view for run metadata."""

@@ -2,9 +2,10 @@
 
 A raw recording is one CSV: a header row naming DEFAULT_SCHEMA's EMG
 column and six IMU columns, then one row per sample; '#' comment lines and
-bad rows are dropped from every channel alike. The EMG channel drives
-segmentation; IMU channels are sliced with the same index ranges, and the
-result is a list of merged segments. `write_segments` saves them as a
+bad rows are dropped from every channel alike. In memory it is one EMG
+signal and one [6 x T] IMU array. The EMG channel drives segmentation; the
+IMU array is sliced with the same index ranges, and the result is a list of
+merged segments. `write_segments` saves them as a
 unified segment CSV with a JSON metadata sidecar, an output format that
 nothing here reads back.
 """
@@ -63,36 +64,26 @@ class RecordingMeta:
 
 @dataclass
 class RawRecording:
-    """Seven aligned channels sharing one sample rate."""
+    """One EMG signal and the [6 x T] IMU samples taken with it, in
+    IMU_CHANNELS order; the sample rate is the EMG signal's."""
 
     emg: dsp.SampledSignal
-    accel_x: dsp.SampledSignal
-    accel_y: dsp.SampledSignal
-    accel_z: dsp.SampledSignal
-    gyro_x: dsp.SampledSignal
-    gyro_y: dsp.SampledSignal
-    gyro_z: dsp.SampledSignal
-
+    imu: np.ndarray
     meta: RecordingMeta = field(default_factory=RecordingMeta)
 
     def __post_init__(self):
-        lengths = {ch: len(getattr(self, ch)) for ch in CHANNELS}
-        if len(set(lengths.values())) != 1:
-            raise SchemaError(f"channel lengths differ after alignment: {lengths}")
-        rates = {getattr(self, ch).fs for ch in CHANNELS}
-        if len(rates) != 1:
-            raise SchemaError(f"channels carry different sample rates: {rates}")
-
-    @property
-    def fs(self) -> float:
-        return self.emg.fs
+        self.imu = np.asarray(self.imu, dtype=np.float64)
+        if self.imu.shape != (6, len(self.emg)):
+            raise SchemaError(
+                f"imu shape {self.imu.shape} does not match {len(self.emg)} EMG samples"
+            )
 
     def __len__(self) -> int:
         return len(self.emg)
 
     def imu_matrix(self) -> np.ndarray:
-        """[6 x T] array in IMU_CHANNELS order."""
-        return np.stack([getattr(self, ch).samples for ch in IMU_CHANNELS])
+        """`imu`; kept because `perfbench/workloads.py` calls it."""
+        return self.imu
 
 
 # Data rows parsed or formatted per block: the row text held at once stays
@@ -475,9 +466,8 @@ def load_recording(path, fs: float | None = None) -> RawRecording:
     if fs is None:
         fs = DEFAULT_FS
 
-    return RawRecording(
-        **{ch: dsp.SampledSignal(columns[ch], fs) for ch in CHANNELS}, meta=meta
-    )
+    imu = np.stack([columns[ch] for ch in IMU_CHANNELS])
+    return RawRecording(dsp.SampledSignal(columns["emg"], fs), imu, meta)
 
 
 def write_raw_recording(rec: RawRecording, path) -> None:
@@ -485,8 +475,8 @@ def write_raw_recording(rec: RawRecording, path) -> None:
     path = Path(path)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow([DEFAULT_SCHEMA[ch] for ch in CHANNELS])
-        write_float_rows(fh, [getattr(rec, ch).samples for ch in CHANNELS])
-    _write_sidecar(path, {**asdict(rec.meta), "fs": rec.fs})
+        write_float_rows(fh, [rec.emg.samples, *rec.imu])
+    _write_sidecar(path, {**asdict(rec.meta), "fs": rec.emg.fs})
 
 
 @dataclass(frozen=True)
@@ -565,20 +555,19 @@ def build_segments(
         raise NoActivityError("no contraction peaks detected")
 
     bounds = dsp.segment_by_peaks(peaks, len(rec))
-    imu = rec.imu_matrix()
     segments = []
     for i, b in enumerate(bounds):
         segments.append(
             MergedSegment(
                 bounds=b,
                 target=target.samples[b.start : b.end],
-                imu=imu[:, b.start : b.end],
+                imu=rec.imu[:, b.start : b.end],
                 meta=SegmentMeta(
                     subject=rec.meta.subject,
                     motion=rec.meta.motion,
                     day=rec.meta.day,
                     rep_index=i,
-                    fs=rec.fs,
+                    fs=rec.emg.fs,
                 ),
             )
         )

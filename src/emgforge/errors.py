@@ -12,6 +12,8 @@ class PipelineError(Exception):
 class ConfigError(PipelineError):
     """Invalid or inconsistent configuration value."""
 
+    section = None  # the config section of the value at fault, where the raiser knows it
+
 
 class InvalidCutoffError(ConfigError):
     """Filter cutoff outside (0, Nyquist) or badly ordered."""

@@ -90,6 +90,13 @@ def receptive_field(config: ModelConfig) -> ReceptiveField:
     return ReceptiveField(blocks=blocks, total=blocks + config.context_window - 1)
 
 
+def check_crop_length(crop_length: int, config: ModelConfig) -> None:
+    """Raise ConfigError if `crop_length` is below the receptive field."""
+    rf = receptive_field(config).total
+    if crop_length < rf:
+        raise ConfigError(f"crop_length {crop_length} is below the model receptive field {rf}")
+
+
 @dataclass
 class BlockWeights:
     """One dilated block. The last block's residual output is never read, so

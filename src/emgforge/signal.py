@@ -80,6 +80,8 @@ class BiquadCascade:
 
 
 FILTER_KINDS = ("lowpass", "highpass", "bandpass", "bandstop")
+# The Butterworth order of the envelope low-pass.
+ENVELOPE_ORDER = 4
 
 # Stability margin required of every designed section (unit-circle distance).
 STABILITY_MARGIN = 1e-9
@@ -128,25 +130,9 @@ def _pair_poles(zpoles: np.ndarray) -> list[tuple[float, float, bool]]:
     return sections
 
 
-def design_butterworth(kind: str, order: int, cutoffs, fs: float) -> BiquadCascade:
-    """Design a digital Butterworth filter via bilinear transform.
-
-    Parameters
-    ----------
-    kind : {'lowpass', 'highpass', 'bandpass', 'bandstop'}
-    order : int
-        Analog prototype order (a 4th-order band filter has 8 digital poles,
-        i.e. 4 sections; low/high-pass of order 4 has 2 sections).
-    cutoffs : float or pair of floats
-        Cutoff frequencies in Hz; the -3 dB points of the design.
-    fs : float
-        Sample rate in Hz.
-
-    Returns
-    -------
-    BiquadCascade with every section stable and the passband reference
-    (DC, Nyquist, or band center) normalized to unit gain.
-    """
+def check_butterworth(kind: str, order: int, cutoffs, fs: float) -> tuple[float, ...]:
+    """The cutoffs as a float tuple; a ConfigError unless `design_butterworth`
+    takes these arguments."""
     if kind not in FILTER_KINDS:
         raise ConfigError(f"unknown filter kind {kind!r}; expected one of {FILTER_KINDS}")
     if not isinstance(order, (int, np.integer)) or isinstance(order, bool) or order < 1:
@@ -166,6 +152,29 @@ def design_butterworth(kind: str, order: int, cutoffs, fs: float) -> BiquadCasca
             )
     if expected == 2 and not cut[0] < cut[1]:
         raise InvalidCutoffError(f"band edges must satisfy low < high, got {cut}")
+    return cut
+
+
+def design_butterworth(kind: str, order: int, cutoffs, fs: float) -> BiquadCascade:
+    """Design a digital Butterworth filter via bilinear transform.
+
+    Parameters
+    ----------
+    kind : {'lowpass', 'highpass', 'bandpass', 'bandstop'}
+    order : int
+        Analog prototype order (a 4th-order band filter has 8 digital poles,
+        i.e. 4 sections; low/high-pass of order 4 has 2 sections).
+    cutoffs : float or pair of floats
+        Cutoff frequencies in Hz; the -3 dB points of the design.
+    fs : float
+        Sample rate in Hz.
+
+    Returns
+    -------
+    BiquadCascade with every section stable and the passband reference
+    (DC, Nyquist, or band center) normalized to unit gain.
+    """
+    cut = check_butterworth(kind, order, cutoffs, fs)
 
     # Pre-warp so the analog design lands on the requested digital frequencies.
     warped = tuple(2.0 * fs * math.tan(math.pi * c / fs) for c in cut)
@@ -215,7 +224,7 @@ def design_butterworth(kind: str, order: int, cutoffs, fs: float) -> BiquadCasca
     if kind in ("lowpass", "bandstop"):
         f_ref = 0.0
     elif kind == "highpass":
-        f_ref = nyquist
+        f_ref = fs / 2.0
     else:
         w0 = math.sqrt(warped[0] * warped[1])
         f_ref = fs / math.pi * math.atan(w0 / fs2)
@@ -356,6 +365,10 @@ class FilterChainConfig:
                     f"unknown chain stage {stage!r}; expected one of {tuple(_STAGE_CUTOFFS)}"
                 )
 
+    def cutoffs(self, stage: str):
+        """The cutoffs of chain stage `stage`."""
+        return getattr(self, _STAGE_CUTOFFS[stage])
+
 
 def preprocess_emg(raw: SampledSignal, chain: FilterChainConfig | None = None) -> SampledSignal:
     """Condition a raw sEMG trace: high-pass, band-pass, then mains band-stop.
@@ -366,7 +379,7 @@ def preprocess_emg(raw: SampledSignal, chain: FilterChainConfig | None = None) -
     chain = chain or FilterChainConfig()
     out = raw
     for stage in chain.stages:
-        cutoffs = getattr(chain, _STAGE_CUTOFFS[stage])
+        cutoffs = chain.cutoffs(stage)
         out = apply_filter(out, design_butterworth(stage, chain.order, cutoffs, raw.fs))
     return out
 
@@ -379,7 +392,7 @@ def compute_envelope(filtered: SampledSignal, lp_cutoff: float = 6.0) -> Sampled
     if len(filtered) == 0:
         raise EmptyInputError("cannot compute the envelope of an empty signal")
     rect = SampledSignal(np.abs(filtered.samples), filtered.fs)
-    casc = design_butterworth("lowpass", 4, lp_cutoff, filtered.fs)
+    casc = design_butterworth("lowpass", ENVELOPE_ORDER, lp_cutoff, filtered.fs)
     smooth = apply_filter(rect, casc)
     return SampledSignal(np.maximum(smooth.samples, 0.0), filtered.fs)
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import metrics
 from .dataio import DatasetSplit, MergedSegment, make_windows, write_float_rows
 from .errors import ConfigError, DivergenceError, InsufficientDataError, ShapeError
-from .model import ModelWeights, StreamState, forward, forward_streaming, receptive_field
+from .model import ModelWeights, StreamState, check_crop_length, forward, forward_streaming
 from .tensor import Tensor, adam_step, backward, mean_all, mul, sub
 
 
@@ -235,11 +235,7 @@ def train(
         raise InsufficientDataError(
             f"split must have train and test segments, got {len(split.train)}/{len(split.test)}"
         )
-    rf = receptive_field(weights.config).total
-    if cfg.crop_length < rf:
-        raise ConfigError(
-            f"crop_length {cfg.crop_length} is below the model receptive field {rf}"
-        )
+    check_crop_length(cfg.crop_length, weights.config)
 
     fit_input_normalizer(weights, split.train)
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from emgforge import cli
+from emgforge import cli, dataio
 from emgforge.config import RunConfig
 from emgforge.model import load_weights, save_weights
 
@@ -49,6 +49,10 @@ def run_cli(*argv) -> tuple[int, str]:
         except SystemExit as exc:
             rc = exc.code
     return rc, err.getvalue()
+
+
+def no_csv_read(*args):
+    raise AssertionError("a CSV was read before the config was checked")
 
 
 def assert_one_error(rc: int, err: str, code: int, *words: str) -> None:
@@ -168,12 +172,20 @@ def test_bad_run_json_exits_2(data, tmp_path, run_json):
         (b"[segmentation]\nmin_distance = 0\n", "[segmentation]", "min_distance must be >= 1"),
         (b"[segmentation]\ntop_k = 0\n", "[segmentation]", "top_k must be >= 1"),
         (b"[data]\nfs = -5\n", "[data]", "sample rate"),
+        (b"[segmentation]\nenvelope_lp_hz = 900\n", "[segmentation]",
+         "cutoff 900.0 Hz outside (0, 500.0) Hz"),
+        (b"[filter]\norder = 0\n", "[filter]", "filter order must be a positive integer"),
+        (b"[filter]\nbandstop_low_hz = 60\n", "[filter]", "low < high"),
+        (b"[train]\ncrop_length = 100\n", "[train]",
+         "crop_length 100 is below the model receptive field 142"),
     ],
-    ids=["activation", "max_epochs", "stage", "min_distance", "top_k", "fs"],
+    ids=["activation", "max_epochs", "stage", "min_distance", "top_k", "fs", "envelope_lp_hz",
+         "order", "bandstop", "crop_length"],
 )
 @pytest.mark.parametrize("command", ["train", "eval"])
-def test_rejected_config_value_names_file_and_section(data, tmp_path, ini, section, message,
-                                                      command):
+def test_rejected_config_value_names_file_and_section(data, tmp_path, monkeypatch, ini, section,
+                                                      message, command):
+    monkeypatch.setattr(dataio, "_read_columns", no_csv_read)
     config = tmp_path / "bad.ini"
     config.write_bytes(ini)
     if command == "train":
@@ -192,12 +204,15 @@ def test_rejected_config_value_names_file_and_section(data, tmp_path, ini, secti
         ({"filter.stages": "highpass,notch"}, "[filter]", "'notch'"),
         ({"segmentation.top_k": 0}, "[segmentation]", "top_k must be >= 1"),
         ({"data.fs": 0.0}, "[data]", "sample rate"),
+        ({"segmentation.envelope_lp_hz": 900.0}, "[segmentation]", "cutoff 900.0 Hz outside"),
+        ({"filter.order": 0}, "[filter]", "filter order must be a positive integer"),
     ],
-    ids=["stage", "top_k", "fs"],
+    ids=["stage", "top_k", "fs", "envelope_lp_hz", "order"],
 )
-def test_rejected_run_json_value_names_file_and_section(data, tmp_path, change, section,
-                                                        message):
+def test_rejected_run_json_value_names_file_and_section(data, tmp_path, monkeypatch, change,
+                                                        section, message):
     ckpt = checkpoint_copy(data, tmp_path, run_json_with(data, **change))
+    monkeypatch.setattr(dataio, "_read_columns", no_csv_read)
     rc, err = run_cli("eval", "--data", data / "data", "--ckpt", ckpt,
                       "--report", tmp_path / "report.csv")
     assert_one_error(rc, err, 2, f"{ckpt.with_suffix('.run.json')} {section}: ", message)

@@ -46,7 +46,7 @@ class TestLoadRecording:
         write_csv(path, ["emg", "ax", "ay", "az", "gx", "gy", "gz"], seven_column_rows(5000))
         rec = dataio.load_recording(path)
         assert len(rec) == 5000
-        assert rec.fs == FS
+        assert rec.emg.fs == FS
 
     def test_missing_column_names_channel(self, tmp_path):
         path = tmp_path / "rec.csv"
@@ -69,13 +69,13 @@ class TestLoadRecording:
         write_csv(path, ["emg", "ax", "ay", "az", "gx", "gy", "gz"], rows)
         rec = dataio.load_recording(path)
         kept = [t for t in range(20) if t not in (5, 11, 14)]
-        for c, ch in enumerate(dataio.CHANNELS):
-            assert getattr(rec, ch).samples.tolist() == [10 * t + c for t in kept]
+        for c, samples in enumerate([rec.emg.samples, *rec.imu]):
+            assert samples.tolist() == [10 * t + c for t in kept]
 
     def test_repeated_unread_column_allowed(self, tmp_path):
         path = tmp_path / "rec.csv"
         write_csv(path, ["emg", "ax", "ay", "az", "gx", "gy", "gz", "note", "note"], [range(9)])
-        assert dataio.load_recording(path).gyro_z.samples.tolist() == [6.0]
+        assert dataio.load_recording(path).imu[:, 0].tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
 
     def test_comment_lines_ignored(self, tmp_path):
         path = tmp_path / "rec.csv"
@@ -103,7 +103,7 @@ class TestLoadRecording:
         )
         rec = dataio.load_recording(path)
         assert rec.meta == dataio.RecordingMeta("s07", "pronation", 3)
-        assert rec.fs == 2000.0
+        assert rec.emg.fs == 2000.0
 
     def test_sidecar_fs_disagreeing_with_caller_rejected(self, tmp_path):
         path = tmp_path / "rec.csv"
@@ -111,7 +111,7 @@ class TestLoadRecording:
         (tmp_path / "rec.meta.json").write_text('{"subject": "s07", "fs": 2000.0}\n')
         with pytest.raises(SchemaError, match=r"rec\.meta\.json: sidecar fs=2000 .* fs=1000"):
             dataio.load_recording(path, fs=1000.0)
-        assert dataio.load_recording(path, fs=2000.0).fs == 2000.0
+        assert dataio.load_recording(path, fs=2000.0).emg.fs == 2000.0
 
     @pytest.mark.parametrize(
         "key, value", [("subject", "../escaped"), ("motion", "up\\down"), ("subject", "a\x00b")]
@@ -129,8 +129,8 @@ class TestLoadRecording:
     def test_fs_defaults_without_caller_or_sidecar(self, tmp_path):
         path = tmp_path / "rec.csv"
         write_csv(path, ["emg", "ax", "ay", "az", "gx", "gy", "gz"], seven_column_rows(5))
-        assert dataio.load_recording(path).fs == dataio.DEFAULT_FS == 1000.0
-        assert dataio.load_recording(path, fs=500.0).fs == 500.0
+        assert dataio.load_recording(path).emg.fs == dataio.DEFAULT_FS == 1000.0
+        assert dataio.load_recording(path, fs=500.0).emg.fs == 500.0
 
 def reference_read_columns(path, wanted):
     """Row by row: a line after the header is kept when it is neither blank
@@ -288,8 +288,8 @@ class TestColumnarCsv:
         dataio.write_raw_recording(rec, path)
         with mock.patch.object(dataio, "_parse_block", side_effect=AssertionError("block parser ran")):
             columns = dataio._read_columns(path, dataio.DEFAULT_SCHEMA)
-        for ch in dataio.CHANNELS:
-            assert columns[ch].tobytes() == getattr(rec, ch).samples.tobytes()
+        for ch, samples in zip(dataio.CHANNELS, [rec.emg.samples, *rec.imu]):
+            assert columns[ch].tobytes() == samples.tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -387,9 +387,16 @@ class TestColumnarCsv:
             writer = csv.writer(fh)
             writer.writerow([dataio.DEFAULT_SCHEMA[ch] for ch in dataio.CHANNELS])
             for i in range(len(rec)):
-                writer.writerow([f"{getattr(rec, ch).samples[i]:.17g}" for ch in dataio.CHANNELS])
+                writer.writerow([f"{v:.17g}" for v in (rec.emg.samples[i], *rec.imu[:, i])])
         assert len(rec) > 2 * dataio._CSV_BLOCK
         assert path.read_bytes() == expected.read_bytes()
+
+
+class TestRawRecording:
+    @pytest.mark.parametrize("shape", [(6, 99), (5, 100), (7, 100), (100, 6), (600,)])
+    def test_imu_not_six_by_emg_length_rejected(self, shape):
+        with pytest.raises(SchemaError, match=r"imu shape .* 100 EMG samples"):
+            dataio.RawRecording(dsp.SampledSignal(np.zeros(100), FS), np.zeros(shape))
 
 
 class TestBuildSegments:
@@ -406,16 +413,7 @@ class TestBuildSegments:
             assert np.all(seg.target >= 0.0) and np.all(seg.target <= 1.0)
 
     def test_flat_recording_no_activity(self):
-        zeros = dsp.SampledSignal(np.zeros(2000), FS)
-        rec = dataio.RawRecording(
-            emg=zeros,
-            accel_x=zeros,
-            accel_y=zeros,
-            accel_z=zeros,
-            gyro_x=zeros,
-            gyro_y=zeros,
-            gyro_z=zeros,
-        )
+        rec = dataio.RawRecording(dsp.SampledSignal(np.zeros(2000), FS), np.zeros((6, 2000)))
         with pytest.raises(NoActivityError):
             dataio.build_segments(rec)
 
@@ -579,7 +577,7 @@ class TestUnifiedDataset:
         dataio.write_segments(segments, path)
         ids, values = read_segment_csv(path)
         info = json.loads((tmp_path / "segments.meta.json").read_text())
-        assert info["fs"] == rec.fs
+        assert info["fs"] == rec.emg.fs
         assert len(info["segments"]) == len(segments)
         lo = 0
         for seg, entry in zip(segments, info["segments"]):
@@ -624,4 +622,4 @@ class TestUnifiedDataset:
         loaded = dataio.load_recording(path)
         assert loaded.meta == rec.meta
         assert np.array_equal(loaded.emg.samples, rec.emg.samples)
-        assert np.array_equal(loaded.imu_matrix(), rec.imu_matrix())
+        assert np.array_equal(loaded.imu, rec.imu)

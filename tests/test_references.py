@@ -1,8 +1,9 @@
 """Every top-level function and class in the package is used by the package
-or by the benchmark harness, and so is every defaulted parameter of its
-functions; code that only tests call is not kept. The package raises its
-invariants as exceptions and holds no `assert`, which `python -O` strips,
-and imports nothing but the standard library, numpy and itself."""
+or by the benchmark harness, every defaulted parameter of its functions is
+passed there, and every defaulted dataclass field is set there; code that
+only tests call is not kept. The package raises its invariants as
+exceptions and holds no `assert`, which `python -O` strips, and imports
+nothing but the standard library, numpy and itself."""
 
 import ast
 import collections
@@ -125,8 +126,7 @@ def _passed_arguments():
             for node in ast.walk(tree):
                 if not isinstance(node, ast.Call):
                     continue
-                func = node.func
-                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                name = _name(node.func)
                 passed[name].update(k.arg for k in node.keywords if k.arg is not None)
                 starred = [i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)]
                 passed[name].update(range(starred[0] if starred else len(node.args)))
@@ -142,6 +142,96 @@ def test_every_defaulted_parameter_is_passed_outside_tests():
         if param not in passed[name] and position not in passed[name]
     }
     assert unused == set()
+
+
+def _name(node):
+    """The name a Name or Attribute node ends in, else None."""
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def _dataclasses() -> dict:
+    """Each package dataclass's name -> (module, its fields in constructor
+    order, the fields with a plain default). A base class's fields come first;
+    a `default_factory` field has no plain default."""
+    classes = {}
+    for module, tree in _trees(PACKAGE):
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef) or not any(
+                _name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+                for d in node.decorator_list
+            ):
+                continue
+            fields = [f for base in node.bases if _name(base) in classes
+                      for f in classes[_name(base)][1]]
+            defaulted = set()
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    fields.append(stmt.target.id)
+                    value = stmt.value
+                    factory = isinstance(value, ast.Call) and any(
+                        k.arg == "default_factory" for k in value.keywords
+                    )
+                    if value is not None and not factory:
+                        defaulted.add(stmt.target.id)
+            classes[node.name] = (module, fields, defaulted)
+    return classes
+
+
+def _assigned_attributes(target):
+    """The attribute names an assignment target sets: `x.name = ...`."""
+    if isinstance(target, ast.Attribute):
+        yield target.attr
+    elif isinstance(target, (ast.Tuple, ast.List)):
+        for element in target.elts:
+            yield from _assigned_attributes(element)
+    elif isinstance(target, ast.Starred):
+        yield from _assigned_attributes(target.value)
+
+
+def _set_fields(classes: dict) -> tuple[set, set]:
+    """The dataclass fields the package and the benchmark harness set:
+    (class, field) pairs set through the class's constructor, and field
+    names set on an object of any class. A constructor sets a field by
+    position or keyword, and every field through a ** mapping; a
+    `dataclasses.replace` keyword and an attribute assignment set that name,
+    and a ** mapping in `replace` sets every field of each dataclass the
+    module names."""
+    pairs, names = set(), set()
+    for directory in (PACKAGE, ROOT / "perfbench"):
+        for _, tree in _trees(directory):
+            named = {_name(n) for n in ast.walk(tree)}
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    for target in targets:
+                        names.update(_assigned_attributes(target))
+                if not isinstance(node, ast.Call):
+                    continue
+                name = _name(node.func)
+                keywords = {k.arg for k in node.keywords}
+                if name == "replace":
+                    names.update(keywords - {None})
+                    if None in keywords:
+                        pairs.update((c, f) for c in classes if c in named for f in classes[c][1])
+                elif name in classes:
+                    fields = classes[name][1]
+                    starred = [i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)]
+                    set_here = set(fields[: starred[0] if starred else len(node.args)])
+                    set_here |= set(fields) if None in keywords else keywords
+                    pairs.update((name, f) for f in set_here)
+    return pairs, names
+
+
+def test_every_defaulted_dataclass_field_is_set_outside_tests():
+    classes = _dataclasses()
+    pairs, names = _set_fields(classes)
+    unset = {
+        f"{module}.{cls}.{field}"
+        for cls, (module, _, defaulted) in classes.items()
+        for field in defaulted
+        if (cls, field) not in pairs and field not in names
+    }
+    assert unset == set()
 
 
 def test_benchmark_layers_resolve():

@@ -11,6 +11,7 @@ from emgforge.metrics import cosine_sim
 # extracted envelope carries ~10% demodulation ripple from the noise carrier,
 # so peak *placement* within a burst wanders; the count is what is stable.
 PEAK_NOISE_THRESHOLD = 0.1
+GYRO_Y = dataio.IMU_CHANNELS.index("gyro_y")
 
 
 class TestDeterminism:
@@ -20,7 +21,7 @@ class TestDeterminism:
         rec_b, truth_b = synthgen.generate_recording(prof, seed=123)
         assert np.array_equal(truth_a, truth_b)
         assert np.array_equal(rec_a.emg.samples, rec_b.emg.samples)
-        assert np.array_equal(rec_a.imu_matrix(), rec_b.imu_matrix())
+        assert np.array_equal(rec_a.imu, rec_b.imu)
 
     def test_different_seed_differs(self):
         prof = synthgen.MotionProfile()
@@ -48,35 +49,29 @@ class TestGroundTruth:
     def test_noise_free_truth_is_function_of_gyro(self):
         prof = synthgen.MotionProfile(noise_std=0.0)
         rec, truth = synthgen.generate_recording(prof, seed=5)
-        recomputed = synthgen.ground_truth_envelope(
-            rec.gyro_y.samples, prof.burst_gain, prof.lag_samples, prof.smooth_window
-        )
+        recomputed = synthgen.ground_truth_envelope(rec.imu[GYRO_Y])
         assert np.array_equal(recomputed, truth)
 
     def test_truth_recomputable_even_with_noise(self):
         prof = synthgen.MotionProfile(noise_std=0.05)
         rec, truth = synthgen.generate_recording(prof, seed=6)
-        recomputed = synthgen.ground_truth_envelope(
-            rec.gyro_y.samples, prof.burst_gain, prof.lag_samples, prof.smooth_window
-        )
+        recomputed = synthgen.ground_truth_envelope(rec.imu[GYRO_Y])
         assert np.array_equal(recomputed, truth)
 
     def test_truth_is_causal_in_gyro(self):
         prof = synthgen.MotionProfile(noise_std=0.0)
         rec, truth = synthgen.generate_recording(prof, seed=7)
-        gy = rec.gyro_y.samples.copy()
+        gy = rec.imu[GYRO_Y].copy()
         cut = len(gy) // 2
         gy[cut:] += 500.0
-        tampered = synthgen.ground_truth_envelope(
-            gy, prof.burst_gain, prof.lag_samples, prof.smooth_window
-        )
+        tampered = synthgen.ground_truth_envelope(gy)
         assert np.array_equal(tampered[:cut], truth[:cut])
 
     def test_truth_in_unit_interval_with_lag(self):
         prof = synthgen.MotionProfile()
         rec, truth = synthgen.generate_recording(prof, seed=8)
         assert np.all(truth >= 0.0) and np.all(truth <= 1.0)
-        assert np.all(truth[: prof.lag_samples] == 0.0)
+        assert np.all(truth[: synthgen.LAG_SAMPLES] == 0.0)
 
     def test_peak_height_near_design_target(self):
         _, truth = synthgen.generate_recording(
@@ -105,9 +100,6 @@ class TestPipelineAgreement:
 
 class TestProfileValidation:
     def test_bad_profiles_rejected(self):
-        with pytest.raises(ConfigError):
-            synthgen.MotionProfile(n_reps=0)
-        with pytest.raises(ConfigError):
-            synthgen.MotionProfile(lag_samples=-1)
-        with pytest.raises(ConfigError):
-            synthgen.MotionProfile(rep_period_s=0.0)
+        for n_reps in (0, -1):
+            with pytest.raises(ConfigError, match="n_reps must be >= 1"):
+                synthgen.MotionProfile(n_reps=n_reps)
